@@ -4,10 +4,11 @@
 //! The sequential engine's event loop is driven one popped event at a
 //! time while a bank of mirror [`NodeCore`]s — the exact state machines
 //! the `gcs-node` daemon multiplexes over real sockets — consumes the
-//! same recorded inputs: every delivered flood (with its send instant),
-//! every hardware-rate change, and a mode evaluation at every tick. The
-//! mirrors never send; they only replay what the engine's transport
-//! realized.
+//! same recorded inputs: every delivered flood (with its send instant)
+//! and every hardware-rate change. The mirrors never send; they only
+//! replay what the engine's transport realized. Their mode decisions
+//! come from their own tick timer ([`NodeCore::poll_tick`], polled at
+//! every replayed event), built from the engine's tick interval.
 //!
 //! The contract checked here is *bit*-identity, not approximation: the
 //! anchored piecewise-linear clock representation ([`NodeState`]
@@ -18,6 +19,8 @@
 //!
 //! * a delivery is accepted/dropped identically (§3.1), and an accepted
 //!   one leaves bitwise-equal clocks, bounds, and estimate-slot writes;
+//! * each mirror's timer fires exactly at the engine's `Tick` instants
+//!   (bitwise-equal [`SimTime`]s) and never in between;
 //! * a tick leaves every node with the same mode decision (this also
 //!   cross-checks the engine's stability-certificate skipping against
 //!   the mirror's always-reevaluate policy — a cert that wrongly skips
@@ -63,7 +66,8 @@ fn mirror_bank(sim: &Simulation) -> Vec<NodeCore> {
                 n.hw_rate(),
                 // The mirrors never send; the flood schedule is unused.
                 SimTime::ZERO,
-            );
+            )
+            .with_tick(sim.tick_interval());
             for entry in n.slots.iter() {
                 core.add_neighbor(entry.id, entry.info);
             }
@@ -179,6 +183,41 @@ fn replay_static_run(
         let delivered_before = sim.stats.messages_delivered;
         sim.handle(when, event);
 
+        // The mirrors' tick timers run on every event; only an engine
+        // tick may fire them, and it must fire every one.
+        let is_tick = matches!(act, Act::Tick);
+        for (i, core) in cores.iter_mut().enumerate() {
+            if is_tick {
+                let due = core.next_tick_at().map(|d| d.as_secs().to_bits());
+                prop_assert_eq!(
+                    due,
+                    Some(when.as_secs().to_bits()),
+                    "node {} tick grid is off the engine's at {:?}",
+                    i,
+                    when
+                );
+            }
+            let Some(mode) = core.poll_tick(when) else {
+                prop_assert!(!is_tick, "node {} missed the tick at {:?}", i, when);
+                continue;
+            };
+            prop_assert!(is_tick, "node {} ticked between ticks at {:?}", i, when);
+            prop_assert_eq!(
+                mode,
+                sim.nodes[i].mode(),
+                "mode decision diverged for node {} at tick {:?}",
+                i,
+                when
+            );
+            prop_assert_eq!(
+                sim.nodes[i].logical_at(when, &sim.params).to_bits(),
+                core.state().logical().to_bits(),
+                "logical clock diverged for node {} at tick {:?}",
+                i,
+                when
+            );
+        }
+
         match act {
             Act::Deliver {
                 src,
@@ -234,28 +273,10 @@ fn replay_static_run(
                 cores[node].set_hw_rate(when, rate);
                 assert_clocks_match("a rate change", when, &sim.nodes[node], cores[node].state())?;
             }
-            Act::Tick => {
-                for (i, core) in cores.iter_mut().enumerate() {
-                    let mode = core.evaluate(when);
-                    prop_assert_eq!(
-                        mode,
-                        sim.nodes[i].mode(),
-                        "mode decision diverged for node {} at tick {:?}",
-                        i,
-                        when
-                    );
-                    prop_assert_eq!(
-                        sim.nodes[i].logical_at(when, &sim.params).to_bits(),
-                        core.state().logical().to_bits(),
-                        "logical clock diverged for node {} at tick {:?}",
-                        i,
-                        when
-                    );
-                }
-            }
-            Act::Skip => {}
+            Act::Tick | Act::Skip => {}
         }
     }
+    prop_assert!(sim.stats.ticks > 0, "the run never ticked");
     prop_assert!(
         deliveries > 0,
         "the run never delivered a flood — the replay checked nothing"

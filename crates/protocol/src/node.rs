@@ -74,9 +74,13 @@ pub struct NeighborEntry {
 /// neighbour id. Degrees are small and topology changes are rare compared
 /// to trigger evaluations, so a sorted slab beats a tree on every hot
 /// operation (linear scans for views, binary search for lookups) while
-/// iterating in the same deterministic ascending order.
+/// iterating in the same deterministic ascending order. Lookups search a
+/// parallel vector of the ids alone, so a search touches a few compact
+/// cache lines instead of one full entry per probe.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborTable {
+    /// `entries[i].id`, for every `i`.
+    ids: Vec<NodeId>,
     entries: Vec<NeighborEntry>,
 }
 
@@ -94,7 +98,7 @@ impl NeighborTable {
     }
 
     fn position(&self, v: NodeId) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&v, |e| e.id)
+        self.ids.binary_search(&v)
     }
 
     /// Whether `v` has been discovered.
@@ -136,7 +140,10 @@ impl NeighborTable {
     pub fn insert(&mut self, v: NodeId, info: EdgeInfo, slot: EdgeSlot) {
         match self.position(v) {
             Ok(i) => self.entries[i] = NeighborEntry { id: v, info, slot },
-            Err(i) => self.entries.insert(i, NeighborEntry { id: v, info, slot }),
+            Err(i) => {
+                self.ids.insert(i, v);
+                self.entries.insert(i, NeighborEntry { id: v, info, slot });
+            }
         }
     }
 
@@ -144,6 +151,7 @@ impl NeighborTable {
     pub fn remove(&mut self, v: NodeId) -> bool {
         match self.position(v) {
             Ok(i) => {
+                self.ids.remove(i);
                 self.entries.remove(i);
                 true
             }
@@ -158,7 +166,7 @@ impl NeighborTable {
 
     /// Iterates over the discovered neighbour ids in ascending order.
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|e| e.id)
+        self.ids.iter().copied()
     }
 }
 
@@ -726,5 +734,10 @@ mod tests {
         table.insert(NodeId(1), info, EdgeSlot::discovered(t(1.0), 2.0, 7));
         assert_eq!(table.len(), 3);
         assert_eq!(table.get(NodeId(1)).unwrap().generation, 7);
+        // The search index stays aligned with the entries.
+        let ids: Vec<NodeId> = table.ids().collect();
+        let entry_ids: Vec<NodeId> = table.iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![NodeId(1), NodeId(5), NodeId(9)]);
+        assert_eq!(ids, entry_ids);
     }
 }

@@ -4,9 +4,11 @@
 //! A `NodeCore` is what the `gcs-node` socket daemon multiplexes over a
 //! real transport: the caller owns time (it passes explicit [`SimTime`]
 //! instants read from whatever clock it trusts) and transport (it carries
-//! the returned [`Send`]s and feeds received messages back in). The state
-//! transitions are the same functions the simulation engines execute —
-//! [`merge_flood`](crate::merge_flood) for arrivals, the
+//! the returned [`Send`]s and feeds received messages back in). It keeps
+//! its own flood and evaluation timers, on the engines' schedules; the
+//! caller polls them ([`NodeCore::poll_sends`], [`NodeCore::poll_tick`]).
+//! The state transitions are the same functions the simulation engines
+//! execute — [`merge_flood`](crate::merge_flood) for arrivals, the
 //! [`ModePolicy`] triggers for decisions — so a message sequence recorded
 //! from a simulation replays through a `NodeCore` bit-for-bit (the
 //! engine-side property test pins this).
@@ -20,7 +22,7 @@
 use std::collections::HashMap;
 
 use gcs_net::{EdgeKey, EdgeParamsMap, NodeId};
-use gcs_sim::SimTime;
+use gcs_sim::{SimDuration, SimTime};
 
 use crate::edge_state::EdgeSlot;
 use crate::estimate::EstimateMode;
@@ -138,6 +140,8 @@ pub struct NodeCore {
     policy: Box<dyn ModePolicy>,
     refresh: f64,
     next_flood: SimTime,
+    tick: Option<SimDuration>,
+    next_tick: SimTime,
     views: Vec<NeighborView>,
 }
 
@@ -147,7 +151,10 @@ impl NodeCore {
     /// `params` must come out of [`derive_run_config`] (so `ι` and `G̃`
     /// are filled); `refresh` is the flood period in hardware seconds;
     /// `first_flood` schedules the initial broadcast (stagger these
-    /// across a cluster so the network does not send in lockstep).
+    /// across a cluster so the network does not send in lockstep). No
+    /// evaluation tick is set: give one with
+    /// [`with_tick`](NodeCore::with_tick) to drive decisions through
+    /// [`poll_tick`](NodeCore::poll_tick).
     #[must_use]
     pub fn new(
         id: NodeId,
@@ -163,8 +170,28 @@ impl NodeCore {
             policy,
             refresh,
             next_flood: first_flood,
+            tick: None,
+            next_tick: SimTime::ZERO,
             views: Vec::new(),
         }
+    }
+
+    /// Sets the mode-evaluation tick interval ([`RunConfig::tick`], in
+    /// seconds) and puts the first tick at `tick`, the instant the
+    /// engines' first `Tick` event fires.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick` is not a positive finite number.
+    #[must_use]
+    pub fn with_tick(mut self, tick: f64) -> Self {
+        assert!(
+            tick.is_finite() && tick > 0.0,
+            "tick interval must be positive and finite, got {tick}"
+        );
+        self.tick = Some(SimDuration::from_secs(tick));
+        self.next_tick = SimTime::from_secs(tick);
+        self
     }
 
     /// Read access to the tracked clock state.
@@ -185,6 +212,13 @@ impl NodeCore {
         self.next_flood
     }
 
+    /// The instant of the next evaluation tick, or `None` if no tick
+    /// interval is set.
+    #[must_use]
+    pub fn next_tick_at(&self) -> Option<SimTime> {
+        self.tick.map(|_| self.next_tick)
+    }
+
     /// Installs `peer` as a fully inserted neighbour (the `N^s(0) = N(0)`
     /// startup case of §4.2: every configured edge is present and past
     /// its insertion schedule from the start).
@@ -203,6 +237,13 @@ impl NodeCore {
     pub fn set_hw_rate(&mut self, t: SimTime, rate: f64) {
         self.state.advance_to(t, &self.params);
         self.state.set_hw_rate(rate);
+    }
+
+    /// Brings the tracked clock values to `t` without deciding anything:
+    /// a closed-form refresh that changes no later value. Call it before
+    /// reading [`state`](NodeCore::state) at an instant no input touched.
+    pub fn advance_to(&mut self, t: SimTime) {
+        self.state.advance_to(t, &self.params);
     }
 
     /// Feeds one received flood message in. Returns `None` if the §3.1
@@ -249,7 +290,7 @@ impl NodeCore {
             });
         }
         let dt = self.refresh / self.state.hw_rate();
-        self.next_flood = t + gcs_sim::SimDuration::from_secs(dt);
+        self.next_flood = t + SimDuration::from_secs(dt);
     }
 
     /// Evaluates the mode triggers at `t` and applies the decision,
@@ -274,6 +315,25 @@ impl NodeCore {
         self.state.set_mode(mode);
         self.views = views;
         mode
+    }
+
+    /// Evaluates the mode triggers if a tick is due at `t`, returning the
+    /// decision, and `None` otherwise (or if no tick interval is set).
+    ///
+    /// Ticks lie on the engines' grid: the first at `tick`, each next one
+    /// the previous due instant plus `tick`, accumulated the same way the
+    /// engines reschedule their `Tick` event. A poll that comes several
+    /// ticks late evaluates once, at `t`, and skips the missed grid
+    /// instants rather than replaying them.
+    pub fn poll_tick(&mut self, t: SimTime) -> Option<Mode> {
+        let tick = self.tick?;
+        if t < self.next_tick {
+            return None;
+        }
+        while self.next_tick <= t {
+            self.next_tick += tick;
+        }
+        Some(self.evaluate(t))
     }
 
     /// The message-mode neighbour views: the same per-entry computation
@@ -380,6 +440,76 @@ mod tests {
         assert!(outcome.estimate_written);
         assert!(b.state().slots.get(NodeId(0)).unwrap().estimate.is_some());
         let _ = b.evaluate(t2);
+    }
+
+    /// The grid instant `k` ticks in, accumulated like the engines'
+    /// `Tick` rescheduling.
+    fn grid(tick: f64, k: usize) -> SimTime {
+        let step = SimDuration::from_secs(tick);
+        (1..k).fold(SimTime::from_secs(tick), |t, _| t + step)
+    }
+
+    #[test]
+    fn first_tick_is_due_at_one_interval() {
+        let cfg = config();
+        let a = core(0, &cfg, 1.0);
+        assert_eq!(a.next_tick_at(), None, "no grid without a tick interval");
+        let mut a = a.with_tick(cfg.tick);
+        assert_eq!(a.next_tick_at(), Some(SimTime::from_secs(cfg.tick)));
+        assert_eq!(a.poll_tick(SimTime::ZERO), None);
+        assert_eq!(a.poll_tick(SimTime::from_secs(cfg.tick * 0.999)), None);
+        assert!(a.poll_tick(SimTime::from_secs(cfg.tick)).is_some());
+    }
+
+    #[test]
+    fn one_evaluation_per_grid_instant_and_none_between() {
+        let cfg = config();
+        let mut a = core(0, &cfg, 1.0).with_tick(cfg.tick);
+        for k in 1..=50 {
+            let due = grid(cfg.tick, k);
+            assert_eq!(a.next_tick_at(), Some(due), "tick {k} off the grid");
+            let between = SimTime::from_secs(due.as_secs() - cfg.tick / 2.0);
+            assert_eq!(a.poll_tick(between), None, "fired before tick {k}");
+            assert!(a.poll_tick(due).is_some(), "tick {k} did not fire");
+            assert_eq!(a.poll_tick(due), None, "tick {k} fired twice");
+        }
+    }
+
+    #[test]
+    fn a_late_poll_evaluates_once_and_lands_back_on_the_grid() {
+        let cfg = config();
+        let mut a = core(0, &cfg, 1.0).with_tick(cfg.tick);
+        // Five ticks are due by this instant; only one evaluation runs.
+        let late = SimTime::from_secs(grid(cfg.tick, 5).as_secs() + cfg.tick / 3.0);
+        assert!(a.poll_tick(late).is_some());
+        assert_eq!(a.state().last_update(), late, "evaluated at the poll");
+        assert_eq!(a.poll_tick(late), None, "missed ticks are not replayed");
+        assert_eq!(a.next_tick_at(), Some(grid(cfg.tick, 6)));
+        assert!(a.poll_tick(grid(cfg.tick, 6)).is_some());
+    }
+
+    #[test]
+    fn evaluate_still_decides_on_every_call() {
+        let cfg = config();
+        let mut a = core(0, &cfg, 1.0).with_tick(cfg.tick);
+        let mut b = core(1, &cfg, 1.0);
+        // Off the grid: `poll_tick` waits, `evaluate` decides anyway.
+        let t = SimTime::from_secs(cfg.tick / 4.0);
+        assert_eq!(a.poll_tick(t), None);
+        assert_eq!(a.evaluate(t), Mode::Slow);
+        // Node 0 hears of a neighbour far ahead: the very next call flips.
+        let mut out = Vec::new();
+        b.poll_sends(SimTime::ZERO, &mut out);
+        let mut ahead = out[0].msg;
+        ahead.logical += 1.0;
+        ahead.max_est += 1.0;
+        a.on_message(t, NodeId(1), out[0].sent_at, ahead)
+            .expect("deliverable");
+        assert_eq!(a.poll_tick(t), None);
+        assert_eq!(a.evaluate(t), Mode::Fast);
+        assert_eq!(a.state().mode(), Mode::Fast);
+        // The grid is left where it was.
+        assert_eq!(a.next_tick_at(), Some(SimTime::from_secs(cfg.tick)));
     }
 
     #[test]

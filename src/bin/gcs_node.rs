@@ -9,6 +9,12 @@
 //! mode triggers) happens inside `NodeCore`, in the same code the
 //! deterministic simulation engines execute.
 //!
+//! The loop wakes every ~2 ms to read sockets and send due floods, but
+//! modes are evaluated on the derived tick `κ_min/(8β)` — the same grid
+//! the engines sweep and the oracle's discretization slack is sized for
+//! ([`NodeCore::poll_tick`](gcs_protocol::NodeCore::poll_tick)), not on
+//! every loop spin.
+//!
 //! ```sh
 //! gcs-node --listen 127.0.0.1:0 --first 0 --count 2 --total 6
 //! gcs-node --uds /tmp/gcs-b.sock --first 2 --count 2 --total 6 \
@@ -19,7 +25,9 @@
 //!
 //! * `listening <addr>` — printed once the socket is bound.
 //! * `status id=<id> t=<secs> logical=<L> max_est=<M> mode=<fast|slow>
-//!   peers_heard=<n>` — per hosted node, every `--status-every` seconds.
+//!   peers_heard=<n>` — per hosted node, every `--status-every` seconds
+//!   and once more the moment every hosted node has heard every peer,
+//!   written as one block; the clock values are those at `t`.
 //! * `shutdown clean` — printed on the graceful exit path.
 //!
 //! Shutdown: the daemon exits cleanly (code 0) when its stdin reaches
@@ -28,8 +36,10 @@
 //! the default disposition (the harness treats that as the hard-stop
 //! path and asserts promptness, not gracefulness).
 //!
-//! Exit codes: 0 = clean shutdown, 1 = configuration or socket error.
+//! Exit codes: 0 = clean shutdown, 1 = configuration or socket error
+//! (including an ID range that does not fit below `u32::MAX`).
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -42,7 +52,7 @@ use std::time::{Duration, Instant};
 use gcs_net::{EdgeKey, EdgeParams, EdgeParamsMap, NodeId};
 use gcs_protocol::runtime::{derive_run_config, Send as CoreSend};
 use gcs_protocol::wire::{Frame, FrameReader};
-use gcs_protocol::{EstimateMode, Mode, NodeCore, Params};
+use gcs_protocol::{EstimateMode, FloodMsg, Mode, NodeCore, Params};
 use gcs_sim::SimTime;
 
 const USAGE: &str = "\
@@ -73,15 +83,18 @@ USAGE:
                       deterministically spread over [1-rho, 1+rho]
 
 The cluster topology is the complete graph over IDs 0..M: every hosted
-node treats every other ID as a fully inserted neighbour.
+node treats every other ID as a fully inserted neighbour. Node IDs must
+lie below 4294967295 (u32::MAX is reserved). Sockets are polled every
+~2 ms; modes are evaluated on the derived tick kappa_min/(8 beta), not
+on every poll.
 ";
 
 struct Options {
     listen: Option<String>,
     uds: Option<String>,
-    first: u64,
-    count: u64,
-    total: u64,
+    first: u32,
+    count: u32,
+    total: u32,
     peers: Vec<String>,
     rho: f64,
     mu: f64,
@@ -127,10 +140,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             Err(format!("{flag} must be a positive finite number"))
         }
     };
-    let int = |args: &[String], i: usize, flag: &str| -> Result<u64, String> {
+    let int = |args: &[String], i: usize, flag: &str| -> Result<u32, String> {
         value(args, i, flag)?
             .parse()
-            .map_err(|_| format!("{flag} needs a non-negative integer"))
+            .map_err(|_| format!("{flag} needs an integer from 0 to {}", u32::MAX))
     };
     let mut i = 0;
     while i < args.len() {
@@ -167,15 +180,24 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if o.count == 0 {
         return Err("--count must be at least 1".to_string());
     }
-    if o.total == 0 {
-        o.total = o.first + o.count;
-    }
-    if o.first + o.count > o.total {
-        return Err(format!(
-            "hosted IDs [{}, {}) exceed --total {}",
+    // Node IDs are `u32`, and `u32::MAX` is reserved: the wire decoder
+    // maps every out-of-range ID to it. So every hosted ID lies below
+    // `u32::MAX`, which is exactly when `first + count` fits a `u32`.
+    let end = o.first.checked_add(o.count).ok_or_else(|| {
+        format!(
+            "hosted IDs [{}, {}) do not fit the node ID space [0, {})",
             o.first,
-            o.first + o.count,
-            o.total
+            u64::from(o.first) + u64::from(o.count),
+            u32::MAX
+        )
+    })?;
+    if o.total == 0 {
+        o.total = end;
+    }
+    if end > o.total {
+        return Err(format!(
+            "hosted IDs [{}, {end}) exceed --total {}",
+            o.first, o.total
         ));
     }
     if o.listen.is_some() == o.uds.is_some() {
@@ -256,7 +278,9 @@ impl Conn {
     }
 
     fn owns(&self, id: u64) -> bool {
-        matches!(self.range, Some((first, count)) if (first..first + count).contains(&id))
+        // Overflow-free `first <= id < first + count`: the range is peer
+        // input.
+        matches!(self.range, Some((first, count)) if id >= first && id - first < count)
     }
 
     fn queue(&mut self, frame: &Frame) {
@@ -329,10 +353,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn node_id(id: u64) -> NodeId {
-    NodeId(u32::try_from(id).unwrap_or(u32::MAX))
-}
-
 fn run(args: &[String]) -> Result<(), String> {
     let o = parse_options(args)?;
 
@@ -352,7 +372,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut universe = Vec::new();
     for a in 0..o.total {
         for b in (a + 1)..o.total {
-            universe.push(EdgeKey::new(node_id(a), node_id(b)));
+            universe.push(EdgeKey::new(NodeId(a), NodeId(b)));
         }
     }
     let cfg = derive_run_config(
@@ -365,27 +385,30 @@ fn run(args: &[String]) -> Result<(), String> {
 
     // Hosted cores: hardware rates deterministically spread over
     // [1-rho, 1+rho] by ID (the drift adversary of the model, realized),
-    // flood schedules staggered so the cluster does not send in lockstep.
+    // flood schedules staggered so the cluster does not send in lockstep,
+    // mode decisions on the derived tick grid. (`parse_options` checked
+    // that `first + count` fits.)
     let mut cores: Vec<NodeCore> = (o.first..o.first + o.count)
         .map(|id| {
             let rate = if o.drift && o.total > 1 {
-                let spread = (id as f64 / (o.total - 1) as f64) * 2.0 - 1.0;
+                let spread = (f64::from(id) / f64::from(o.total - 1)) * 2.0 - 1.0;
                 1.0 + o.rho * spread
             } else {
                 1.0
             };
-            let stagger = cfg.refresh * (id + 1) as f64 / (o.total + 1) as f64;
+            let stagger = cfg.refresh * (f64::from(id) + 1.0) / (f64::from(o.total) + 1.0);
             let mut core = NodeCore::new(
-                node_id(id),
+                NodeId(id),
                 cfg.params.clone(),
                 cfg.refresh,
                 rate,
                 SimTime::from_secs(stagger),
-            );
+            )
+            .with_tick(cfg.tick);
             for peer in 0..o.total {
                 if peer != id {
-                    let key = EdgeKey::new(node_id(id), node_id(peer));
-                    core.add_neighbor(node_id(peer), cfg.edge_info[&key]);
+                    let key = EdgeKey::new(NodeId(id), NodeId(peer));
+                    core.add_neighbor(NodeId(peer), cfg.edge_info[&key]);
                 }
             }
             core
@@ -416,8 +439,8 @@ fn run(args: &[String]) -> Result<(), String> {
         _ => return Err("exactly one of --listen or --uds is required".to_string()),
     };
     let hello = Frame::Hello {
-        first: o.first,
-        count: o.count,
+        first: u64::from(o.first),
+        count: u64::from(o.count),
     };
     let mut conns: Vec<Conn> = Vec::new();
     for peer in &o.peers {
@@ -447,6 +470,13 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut scratch = vec![0u8; 4096];
     let mut sends: Vec<CoreSend> = Vec::new();
     let mut next_status = 0.0f64;
+    let mut status = String::new();
+    // Hosted (node, peer) pairs with no flood heard yet. A status block
+    // also goes out the moment the last one is heard, so whoever waits
+    // for the complete mesh sees it then, not whenever the status period
+    // next comes round.
+    let mut unheard = cores.len() * (o.total as usize - 1);
+    let mut mesh_reported = false;
     let mut shutdown_seen = false;
     while !(stdin_closed.load(Ordering::Acquire) || shutdown_seen) {
         while let Some(stream) = listener.accept() {
@@ -471,9 +501,8 @@ fn run(args: &[String]) -> Result<(), String> {
                         sent_at,
                         msg,
                     } => {
-                        if let Some(core) = core_for(&mut cores, o.first, u64::from(dst.0)) {
-                            // §3.1 delivery rule, enforced by the core.
-                            let _ = core.on_message(t, src, sent_at, msg);
+                        if let Some(core) = core_for(&mut cores, o.first, dst) {
+                            deliver(core, &mut unheard, t, src, sent_at, msg);
                         }
                     }
                     Frame::Shutdown => shutdown_seen = true,
@@ -481,18 +510,21 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
 
-        // Drive the cores: floods due now, then a mode decision sweep.
+        // Drive the cores: floods due now, then the mode decisions due on
+        // the tick grid.
         let t = now(&start);
         sends.clear();
         for core in &mut cores {
             core.poll_sends(t, &mut sends);
         }
         for &s in sends.iter() {
-            let dst = u64::from(s.dst.0);
-            if let Some(core) = core_for(&mut cores, o.first, dst) {
+            if let Some(core) = core_for(&mut cores, o.first, s.dst) {
                 // Local neighbour: loopback delivery, no wire.
-                let _ = core.on_message(t, s.src, s.sent_at, s.msg);
-            } else if let Some(conn) = conns.iter_mut().find(|c| !c.dead && c.owns(dst)) {
+                deliver(core, &mut unheard, t, s.src, s.sent_at, s.msg);
+            } else if let Some(conn) = conns
+                .iter_mut()
+                .find(|c| !c.dead && c.owns(u64::from(s.dst.0)))
+            {
                 conn.queue(&Frame::Flood {
                     src: s.src,
                     dst: s.dst,
@@ -502,7 +534,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
         }
         for core in &mut cores {
-            let _ = core.evaluate(t);
+            let _ = core.poll_tick(t);
         }
 
         for c in &mut conns {
@@ -512,10 +544,18 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         conns.retain(|c| !c.dead);
 
-        if t.as_secs() >= next_status {
-            next_status = t.as_secs() + o.status_every;
-            let mut out = std::io::stdout().lock();
-            for core in &cores {
+        let due = t.as_secs() >= next_status;
+        if due || (unheard == 0 && !mesh_reported) {
+            if due {
+                next_status = t.as_secs() + o.status_every;
+            }
+            mesh_reported = unheard == 0;
+            // One write per round: stdout is line-buffered, and a write per
+            // line would cost a syscall per hosted node.
+            status.clear();
+            for core in &mut cores {
+                // Decisions wait for the tick; the reported clocks are at `t`.
+                core.advance_to(t);
                 let st = core.state();
                 let heard = st
                     .slots
@@ -527,7 +567,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     Mode::Slow => "slow",
                 };
                 let _ = writeln!(
-                    out,
+                    status,
                     "status id={} t={:.6} logical={:.6} max_est={:.6} mode={mode} peers_heard={heard}",
                     st.id().0,
                     t.as_secs(),
@@ -535,6 +575,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     st.max_estimate(),
                 );
             }
+            let mut out = std::io::stdout().lock();
+            let _ = out.write_all(status.as_bytes());
             let _ = out.flush();
         }
 
@@ -564,9 +606,33 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Feeds one flood to a hosted core (the core enforces the §3.1 delivery
+/// rule) and counts it off `unheard` if it is the first the core hears
+/// from `src`.
+fn deliver(
+    core: &mut NodeCore,
+    unheard: &mut usize,
+    t: SimTime,
+    src: NodeId,
+    sent_at: SimTime,
+    msg: FloodMsg,
+) {
+    let fresh = *unheard > 0
+        && core
+            .state()
+            .slots
+            .get(src)
+            .is_some_and(|s| s.estimate.is_none());
+    let merged = core.on_message(t, src, sent_at, msg);
+    if fresh && merged.is_some_and(|m| m.estimate_written) {
+        *unheard -= 1;
+    }
+}
+
 /// The hosted core for global ID `dst`, if it is local.
-fn core_for(cores: &mut [NodeCore], first: u64, dst: u64) -> Option<&mut NodeCore> {
-    dst.checked_sub(first)
+fn core_for(cores: &mut [NodeCore], first: u32, dst: NodeId) -> Option<&mut NodeCore> {
+    dst.0
+        .checked_sub(first)
         .and_then(|k| usize::try_from(k).ok())
         .and_then(|k| cores.get_mut(k))
 }

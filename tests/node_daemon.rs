@@ -103,6 +103,104 @@ fn two_daemons_exchange_floods_over_unix_sockets_and_shut_down_cleanly() {
 }
 
 #[test]
+fn a_peer_hello_with_an_overflowing_range_is_survived() {
+    use gcs_protocol::wire::Frame;
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    let sock = std::env::temp_dir().join(format!("gcs-node-hello-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut a = daemon()
+        .args(["--uds", sock.to_str().unwrap()])
+        .args(["--first", "0", "--count", "1", "--total", "2"])
+        .args(["--refresh", "0.1"])
+        .spawn()
+        .unwrap();
+    let mut a_out = BufReader::new(a.stdout.take().unwrap());
+    let _ = announced_addr(&mut a_out);
+
+    // A peer claiming IDs [u64::MAX, u64::MAX + 2): routing node 0's
+    // floods to ID 1 must not overflow on that range.
+    let mut peer = UnixStream::connect(&sock).unwrap();
+    let mut buf = Vec::new();
+    Frame::Hello {
+        first: u64::MAX,
+        count: 2,
+    }
+    .encode(&mut buf);
+    peer.write_all(&buf).unwrap();
+
+    std::thread::sleep(Duration::from_millis(600));
+    drop(a.stdin.take());
+    let status = wait_with_deadline(&mut a, 5).expect("daemon ignored stdin EOF");
+    assert_eq!(status.code(), Some(0), "the daemon died: {status}");
+}
+
+#[test]
+fn the_complete_mesh_is_reported_without_waiting_for_the_status_period() {
+    let dir = std::env::temp_dir();
+    let sock_a = dir.join(format!("gcs-node-mesh-a-{}.sock", std::process::id()));
+    let sock_b = dir.join(format!("gcs-node-mesh-b-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock_a);
+    let _ = std::fs::remove_file(&sock_b);
+    // The status period is far longer than the test: after the block at
+    // start-up, only the complete-mesh block can report a heard peer.
+    let period = ["--refresh", "0.1", "--status-every", "60"];
+    let mut a = daemon()
+        .args(["--uds", sock_a.to_str().unwrap()])
+        .args(["--first", "0", "--count", "1", "--total", "2"])
+        .args(period)
+        .spawn()
+        .unwrap();
+    let mut a_out = BufReader::new(a.stdout.take().unwrap());
+    let addr_a = announced_addr(&mut a_out);
+    let mut b = daemon()
+        .args(["--uds", sock_b.to_str().unwrap()])
+        .args(["--first", "1", "--count", "1", "--total", "2"])
+        .args(period)
+        .args(["--peers", &addr_a])
+        .spawn()
+        .unwrap();
+    let mut b_out = BufReader::new(b.stdout.take().unwrap());
+    let _ = announced_addr(&mut b_out);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (name, reader) in [("A", a_out), ("B", b_out)] {
+        let tx = tx.clone();
+        // Reads to EOF: the daemon's stdout must stay open until it exits.
+        std::thread::spawn(move || {
+            let mut sent = false;
+            for line in reader.lines().map_while(Result::ok) {
+                if !sent && line.starts_with("status ") && line.ends_with(" peers_heard=1") {
+                    sent = tx.send(name).is_ok();
+                }
+            }
+        });
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut reported = Vec::new();
+    while reported.len() < 2 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(left) {
+            Ok(name) => reported.push(name),
+            Err(_) => break,
+        }
+    }
+    drop(a.stdin.take());
+    drop(b.stdin.take());
+    let status_a = wait_with_deadline(&mut a, 5).expect("daemon A ignored stdin EOF");
+    let status_b = wait_with_deadline(&mut b, 5).expect("daemon B ignored stdin EOF");
+    assert_eq!(status_a.code(), Some(0), "A: {status_a}");
+    assert_eq!(status_b.code(), Some(0), "B: {status_b}");
+    reported.sort_unstable();
+    assert_eq!(
+        reported,
+        ["A", "B"],
+        "a daemon never reported its complete mesh within 5s"
+    );
+}
+
+#[test]
 fn node_smoke_verb_passes_on_a_small_tcp_cluster() {
     let out = Command::new(env!("CARGO_BIN_EXE_gcs-scenarios"))
         .args([
