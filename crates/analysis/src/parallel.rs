@@ -35,7 +35,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 ///
 /// # Panics
 ///
-/// Propagates the first panic of any job.
+/// Re-raises a panicking job's own payload.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -59,23 +59,19 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let item = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job index claimed twice");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
+    run_workers(workers, || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        for i in start..(start + chunk).min(n) {
+            let item = jobs[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job index claimed twice");
+            let r = f(item);
+            *results[i].lock().expect("result slot poisoned") = Some(r);
         }
     });
 
@@ -99,7 +95,7 @@ where
 ///
 /// # Panics
 ///
-/// Propagates the first panic of any job or of the callback.
+/// Re-raises the payload of a panicking job or callback.
 pub fn parallel_map_progress<T, R, F, P>(items: Vec<T>, f: F, on_done: P) -> Vec<R>
 where
     T: Send,
@@ -133,34 +129,30 @@ where
     // storing a result never holds another lock, so there is no cycle.
     let cursor = Mutex::new(0usize);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let item = jobs[i]
-                        .lock()
-                        .expect("job slot poisoned")
-                        .take()
-                        .expect("job index claimed twice");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                    let mut at = cursor.lock().expect("cursor poisoned");
-                    while *at < n {
-                        let slot = results[*at].lock().expect("result slot poisoned");
-                        match slot.as_ref() {
-                            Some(done) => {
-                                on_done(*at, done);
-                                *at += 1;
-                            }
-                            None => break,
-                        }
+    run_workers(workers, || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        for i in start..(start + chunk).min(n) {
+            let item = jobs[i]
+                .lock()
+                .expect("job slot poisoned")
+                .take()
+                .expect("job index claimed twice");
+            let r = f(item);
+            *results[i].lock().expect("result slot poisoned") = Some(r);
+            let mut at = cursor.lock().expect("cursor poisoned");
+            while *at < n {
+                let slot = results[*at].lock().expect("result slot poisoned");
+                match slot.as_ref() {
+                    Some(done) => {
+                        on_done(*at, done);
+                        *at += 1;
                     }
+                    None => break,
                 }
-            });
+            }
         }
     });
 
@@ -172,6 +164,21 @@ where
                 .expect("parallel job dropped")
         })
         .collect()
+}
+
+/// Runs `work` on `workers` scoped threads, then joins them in spawn
+/// order and re-raises the first panicking worker's own payload (left to
+/// itself, `thread::scope` would replace it with "a scoped thread
+/// panicked").
+fn run_workers(workers: usize, work: impl Fn() + Sync) {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -265,5 +272,18 @@ mod tests {
             assert!(x != 2, "boom");
             x
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn parallel_map_progress_propagates_job_panics() {
+        let _ = parallel_map_progress(
+            vec![1u64, 2, 3],
+            |x| {
+                assert!(x != 2, "boom");
+                x
+            },
+            |_, _| {},
+        );
     }
 }

@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod diameter;
-pub mod log;
 mod parallel;
 #[cfg(test)]
 mod replay_check;
@@ -55,7 +54,6 @@ mod snapshot;
 pub use gcs_protocol::{edge_state, estimate, node, params, triggers};
 
 pub use diameter::DiameterTracker;
-pub use log::{EventLog, LogEntry};
 
 pub use gcs_protocol::{
     AoptPolicy, EdgeInfo, ErrorModel, EstimateMode, InsertionStrategy, Mode, ModePolicy,

@@ -90,9 +90,6 @@ pub enum ParallelBuildError {
     /// Diameter tracking observes every delivery globally and is only
     /// supported on the sequential engine.
     DiameterTrackingUnsupported,
-    /// The structured event log requires a globally ordered append stream
-    /// and is only supported on the sequential engine.
-    EventLogUnsupported,
     /// The scenario's minimum transit latency is zero (or there are no
     /// edges with positive `delay_min`), so no conservative window exists
     /// for more than one shard.
@@ -117,9 +114,6 @@ impl std::fmt::Display for ParallelBuildError {
             ParallelBuildError::Build(e) => write!(f, "{e}"),
             ParallelBuildError::DiameterTrackingUnsupported => {
                 f.write_str("diameter tracking is only supported on the sequential engine")
-            }
-            ParallelBuildError::EventLogUnsupported => {
-                f.write_str("the structured event log is only supported on the sequential engine")
             }
             ParallelBuildError::NoLookahead => f.write_str(
                 "scenario has no positive minimum transit latency: no conservative window exists",
@@ -199,9 +193,6 @@ impl ParallelSimBuilder {
     pub fn build(self) -> Result<ParallelSimulation, ParallelBuildError> {
         if self.inner.track_diameter {
             return Err(ParallelBuildError::DiameterTrackingUnsupported);
-        }
-        if self.inner.log_capacity > 0 {
-            return Err(ParallelBuildError::EventLogUnsupported);
         }
         let mut sim = self.inner.build()?;
         let n = sim.nodes.len();
@@ -385,7 +376,6 @@ fn drain_one(work: Work<'_>, shared: &SharedCtx<'_>, cut: SimTime, strict: bool)
             edge_info: shared.edge_info,
             graph: shared.graph,
             diameter: None,
-            log: None,
             refresh: shared.refresh,
             tel: if shared.telemetry {
                 Some(&mut *tel)
@@ -683,7 +673,6 @@ impl ParallelSimulation {
             edge_info: &sim.edge_info,
             graph: &sim.graph,
             diameter: None,
-            log: None,
             refresh: sim.refresh,
             tel: if sim.telemetry.is_some() {
                 Some(&mut *tel)

@@ -190,8 +190,6 @@ pub(crate) struct LocalCtx<'a, S: EventSink> {
     /// Diameter tracker (sequential engine only; the parallel builder
     /// rejects it).
     pub diameter: Option<&'a mut crate::diameter::DiameterTracker>,
-    /// Structured event log (sequential engine only).
-    pub log: Option<&'a mut crate::log::EventLog>,
     /// Flood refresh period (hardware seconds).
     pub refresh: f64,
     /// Telemetry counter block (the engine's under sequential execution,
@@ -521,21 +519,6 @@ impl<S: EventSink> LocalCtx<'_, S> {
         self.mark_dirty(u.index());
         self.stats.handshakes_offered += 1;
         self.stats.insertions_scheduled += 1;
-        if let Some(log) = self.log.as_deref_mut() {
-            log.push(crate::log::LogEntry::InsertOffered {
-                time: t,
-                leader: u,
-                follower: v,
-                g_tilde,
-            });
-            log.push(crate::log::LogEntry::InsertScheduled {
-                time: t,
-                node: u,
-                neighbor: v,
-                t0,
-                i,
-            });
-        }
         self.send(t, u, v, info.params, Payload::InsertEdge { l_ins, g_tilde });
     }
 
@@ -586,15 +569,6 @@ impl<S: EventSink> LocalCtx<'_, S> {
         }
         self.mark_dirty(u.index());
         self.stats.insertions_scheduled += 1;
-        if let Some(log) = self.log.as_deref_mut() {
-            log.push(crate::log::LogEntry::InsertScheduled {
-                time: t,
-                node: u,
-                neighbor: v,
-                t0,
-                i,
-            });
-        }
     }
 }
 

@@ -268,7 +268,6 @@ pub struct SimBuilder {
     // Crate-visible so the parallel builder can reject configurations the
     // sharded engine does not support before building.
     pub(crate) track_diameter: bool,
-    pub(crate) log_capacity: usize,
 }
 
 impl SimBuilder {
@@ -285,7 +284,6 @@ impl SimBuilder {
             seed: 0,
             horizon: 3600.0,
             track_diameter: false,
-            log_capacity: 0,
         }
     }
 
@@ -352,15 +350,6 @@ impl SimBuilder {
     #[must_use]
     pub fn track_diameter(mut self, on: bool) -> Self {
         self.track_diameter = on;
-        self
-    }
-
-    /// Enables the structured [`EventLog`](crate::log::EventLog), keeping
-    /// at most `capacity` entries (mode switches, edge discovery/loss,
-    /// handshake milestones).
-    #[must_use]
-    pub fn log_events(mut self, capacity: usize) -> Self {
-        self.log_capacity = capacity;
         self
     }
 
@@ -461,8 +450,6 @@ impl SimBuilder {
             diameter: self
                 .track_diameter
                 .then(|| crate::diameter::DiameterTracker::new(n, rho)),
-            log: (self.log_capacity > 0)
-                .then(|| crate::log::EventLog::with_capacity(self.log_capacity)),
             fault_injected: false,
             changes: Vec::new(),
             hot: HotColumns {
@@ -545,7 +532,6 @@ pub struct Simulation {
     gen_counter: u64,
     pub(crate) stats: SimStats,
     diameter: Option<crate::diameter::DiameterTracker>,
-    log: Option<crate::log::EventLog>,
     /// Set once [`Simulation::inject_clock_offset`] has been used: the
     /// flood-bound invariants then only hold up to the self-stabilization
     /// slack (see [`Simulation::verify_invariants`]).
@@ -958,13 +944,6 @@ impl Simulation {
         }
     }
 
-    /// The structured event log, if enabled via
-    /// [`SimBuilder::log_events`].
-    #[must_use]
-    pub fn event_log(&self) -> Option<&crate::log::EventLog> {
-        self.log.as_ref()
-    }
-
     /// The realized fault/insertion log: every scripted edge transition
     /// and injected clock corruption this run has executed so far, in
     /// event order. Always recorded (the entries are rare and small) —
@@ -1207,7 +1186,6 @@ impl Simulation {
             edge_info: &self.edge_info,
             graph: &self.graph,
             diameter: self.diameter.as_mut(),
-            log: self.log.as_mut(),
             refresh: self.refresh,
             tel: if self.telemetry.is_some() {
                 Some(&mut self.tel_local)
@@ -1393,13 +1371,6 @@ impl Simulation {
             let u = d.node as usize;
             let node = &mut self.nodes[u];
             if node.mode() != d.mode {
-                if let Some(log) = &mut self.log {
-                    log.push(crate::log::LogEntry::ModeSwitch {
-                        time: t,
-                        node: node.id(),
-                        mode: d.mode,
-                    });
-                }
                 if let Some(sink) = self.telemetry.as_deref_mut() {
                     sink.on_mode_switch(ts, u, d.mode == Mode::Fast);
                 }
@@ -1480,13 +1451,6 @@ impl Simulation {
         let staged = matches!(slot.insert, InsertState::Pending);
         self.nodes[from.index()].slots.insert(to, info, slot);
         self.hot.stable_until[from.index()] = f64::NEG_INFINITY;
-        if let Some(log) = &mut self.log {
-            log.push(crate::log::LogEntry::EdgeDiscovered {
-                time: t,
-                node: from,
-                neighbor: to,
-            });
-        }
         if staged && Self::is_leader(from, to) {
             self.schedule_leader_check(from, to, generation);
         }
@@ -1511,13 +1475,6 @@ impl Simulation {
         self.nodes[from.index()].slots.remove(to);
         self.hot.stable_until[from.index()] = f64::NEG_INFINITY;
         self.stats.edge_removals += 1;
-        if let Some(log) = &mut self.log {
-            log.push(crate::log::LogEntry::EdgeLost {
-                time: t,
-                node: from,
-                neighbor: to,
-            });
-        }
     }
 
     fn schedule_leader_check(&mut self, u: NodeId, v: NodeId, generation: u64) {
@@ -1841,58 +1798,6 @@ mod tests {
         assert_eq!(trace.samples()[0].time, 0.0);
         assert_eq!(trace.samples()[4].time, 2.0);
         assert!(trace.max_global_skew() >= 0.0);
-    }
-
-    #[test]
-    fn event_log_captures_insertion_milestones() {
-        use crate::log::LogEntry;
-        let base = Topology::line(4);
-        let chord = EdgeKey::new(NodeId(0), NodeId(3));
-        let schedule =
-            NetworkSchedule::with_edge_insertion(&base, &[(chord, SimTime::from_secs(2.0))], 0.001);
-        let mut p = Params::builder();
-        p.rho(0.01).mu(0.1).insertion_scale(0.02);
-        let mut sim = SimBuilder::new(p.build().unwrap())
-            .schedule(schedule)
-            .log_events(10_000)
-            .seed(9)
-            .build()
-            .unwrap();
-        sim.run_until_secs(30.0);
-        let log = sim.event_log().unwrap();
-        let discovered: Vec<_> = log
-            .entries()
-            .iter()
-            .filter(|e| matches!(e, LogEntry::EdgeDiscovered { .. }))
-            .collect();
-        assert_eq!(discovered.len(), 2, "both directions discovered");
-        let offers: Vec<_> = log
-            .entries()
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    LogEntry::InsertOffered {
-                        leader: NodeId(0),
-                        ..
-                    }
-                )
-            })
-            .collect();
-        assert_eq!(offers.len(), 1, "one offer from the leader");
-        let schedules: Vec<_> = log
-            .entries()
-            .iter()
-            .filter_map(|e| match e {
-                LogEntry::InsertScheduled { t0, i, .. } => Some((*t0, *i)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(schedules.len(), 2, "both endpoints installed times");
-        assert_eq!(schedules[0], schedules[1], "Lemma 5.5 agreement");
-        // Ordering: discovery strictly precedes the offer, which precedes
-        // or coincides with the schedules.
-        assert!(discovered[0].time() < offers[0].time());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! its own flood and evaluation timers, on the engines' schedules; the
 //! caller polls them ([`NodeCore::poll_sends`], [`NodeCore::poll_tick`]).
 //! The state transitions are the same functions the simulation engines
-//! execute — [`merge_flood`](crate::merge_flood) for arrivals, the
+//! execute — [`merge_flood`] for arrivals, the
 //! [`ModePolicy`] triggers for decisions — so a message sequence recorded
 //! from a simulation replays through a `NodeCore` bit-for-bit (the
 //! engine-side property test pins this).

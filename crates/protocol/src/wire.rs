@@ -20,7 +20,7 @@
 //! [`Frame::decode`] works on a growing receive buffer: it either
 //! consumes exactly one frame, reports that more bytes are needed, or
 //! rejects the stream as corrupt (oversized length prefix, unknown kind,
-//! payload length not matching the kind).
+//! payload length not matching the kind, a flood node ID beyond `u32`).
 
 use gcs_net::NodeId;
 use gcs_sim::SimTime;
@@ -81,6 +81,8 @@ pub enum WireError {
         /// The length the prefix claimed.
         len: u32,
     },
+    /// A flood's `src` or `dst` does not fit the `u32` node ID space.
+    IdOutOfRange(u64),
 }
 
 impl std::fmt::Display for WireError {
@@ -95,6 +97,9 @@ impl std::fmt::Display for WireError {
             WireError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadLength { kind, len } => {
                 write!(f, "frame kind {kind} cannot have payload length {len}")
+            }
+            WireError::IdOutOfRange(id) => {
+                write!(f, "node ID {id} exceeds the u32 node ID space")
             }
         }
     }
@@ -194,11 +199,13 @@ impl Frame {
             (KIND_FLOOD, FLOOD_LEN) => {
                 let node = |at| {
                     let raw = get_u64(buf, at);
-                    NodeId(u32::try_from(raw).unwrap_or(u32::MAX))
+                    u32::try_from(raw)
+                        .map(NodeId)
+                        .map_err(|_| WireError::IdOutOfRange(raw))
                 };
                 Frame::Flood {
-                    src: node(5),
-                    dst: node(13),
+                    src: node(5)?,
+                    dst: node(13)?,
                     sent_at: SimTime::from_secs(get_f64(buf, 21)),
                     msg: FloodMsg {
                         logical: get_f64(buf, 29),
@@ -322,6 +329,11 @@ mod tests {
             Frame::decode(&zero),
             Err(WireError::BadLength { kind: 0, len: 0 })
         );
+        // A well-formed flood whose dst lies beyond the u32 ID space.
+        let mut wide = flood().to_bytes();
+        let beyond = u64::from(u32::MAX) + 1;
+        wide[13..21].copy_from_slice(&beyond.to_le_bytes());
+        assert_eq!(Frame::decode(&wide), Err(WireError::IdOutOfRange(beyond)));
     }
 
     #[test]

@@ -260,15 +260,8 @@ pub fn read_bench(text: &str) -> Result<BenchArtifact, String> {
             nodes: usize::try_from(u64_field(e, "nodes", &what)?)
                 .map_err(|err| format!("{what}: {err}"))?,
             seed: u64_field(e, "seed", &what)?,
-            // Absent in pre-threads artifacts: those rows ran the
-            // sequential engine.
-            threads: e
-                .get("threads")
-                .map_or(Ok(1u64), |v| {
-                    v.as_u64()
-                        .ok_or_else(|| format!("{what}: non-integer threads"))
-                })
-                .and_then(|v| usize::try_from(v).map_err(|err| format!("{what}: {err}")))?,
+            threads: usize::try_from(u64_field(e, "threads", &what)?)
+                .map_err(|err| format!("{what}: {err}"))?,
             sim_secs: f64_field(e, "sim_secs", &what)?,
             build_secs: f64_field(e, "build_secs", &what)?,
             wall_secs: f64_field(e, "wall_secs", &what)?,
@@ -527,13 +520,6 @@ mod tests {
             artifact.entries, entries,
             "parsed entries must be bit-identical"
         );
-        // Pre-threads artifacts (no "threads" key) parse as sequential rows.
-        let legacy = text
-            .replace(",\"threads\":1", "")
-            .replace(",\"threads\":2", "");
-        assert!(!legacy.contains("\"threads\""));
-        let parsed = read_bench(&legacy).unwrap();
-        assert!(parsed.entries.iter().all(|e| e.threads == 1));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   and the observation plan, compiled through one seam
 //!   ([`ScenarioSpec::build`]) into a ready-to-run
 //!   [`Simulation`](gcs_core::Simulation);
-//! * [`format`] — the line-oriented `.scn` text format (hand-rolled parser
+//! * [`format`](mod@format) — the line-oriented `.scn` text format (hand-rolled parser
 //!   and canonical writer with exact round-trip; grammar in
 //!   `scenarios/README.md`);
 //! * [`registry`] — ≥ 20 named built-in scenarios spanning
@@ -22,9 +22,8 @@
 //! * [`campaign`] — the parallel scenario × seed runner and the
 //!   `results/campaign_*.json` trajectory artifact;
 //! * [`trend`] — the artifact reader, `gcs-baseline/v2` summaries
-//!   (scalar stats + trajectory envelopes + per-scenario tolerances;
-//!   legacy v1 files still parse), and the tolerance-gated baseline
-//!   comparison CI runs;
+//!   (scalar stats + trajectory envelopes + per-scenario tolerances),
+//!   and the tolerance-gated baseline comparison CI runs;
 //! * [`conformance`] — the paper-bound gate: every scenario × seed driven
 //!   through the [`gcs_analysis::oracle`] conformance oracles, exiting
 //!   non-zero on any Theorem 5.6 / 5.22 bound violation, streaming over
@@ -33,7 +32,7 @@
 //! * [`trendseries`] — the append-only `gcs-trend/v1` JSONL series the
 //!   nightly pipeline grows (`trend-append`) and the orientation-aware
 //!   windowed regression gate over it (`trend-gate`);
-//! * [`bench`] — the sequential engine-throughput harness behind
+//! * [`bench`](mod@bench) — the sequential engine-throughput harness behind
 //!   `gcs-scenarios bench` and the `BENCH_engine.json`
 //!   (`gcs-engine-bench/v1`) artifact, plus the exact deterministic
 //!   counter gate behind `gcs-scenarios bench-compare`;

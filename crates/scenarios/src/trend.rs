@@ -9,9 +9,11 @@
 //! [`campaign_json`](crate::campaign::campaign_json) exactly: floats are
 //! written in shortest round-trip notation and re-parsed with correct
 //! rounding, so a parsed artifact is bit-identical to the
-//! [`CampaignRow`]s that produced it (property-tested). Legacy
-//! `gcs-baseline/v1` files still parse (their rows simply carry no
-//! envelope, so only the scalar columns gate).
+//! [`CampaignRow`]s that produced it (property-tested).
+//!
+//! The gate core — the absolute floor, relative drift, the breach
+//! predicate and the tight/loose tolerance lookup — is shared with the
+//! windowed series gate in [`trendseries`](crate::trendseries).
 
 use gcs_analysis::{EnsembleStats, Table};
 
@@ -21,8 +23,6 @@ use crate::spec::{DriftSpec, DynamicsSpec, Metric, Scale, ScenarioSpec, Topology
 
 /// The artifact format tag the campaign writer emits.
 pub const CAMPAIGN_FORMAT: &str = "gcs-campaign/v1";
-/// The legacy scalar-only baseline format (still readable).
-pub const BASELINE_FORMAT_V1: &str = "gcs-baseline/v1";
 /// The baseline format the writer emits: scalars + trajectory envelopes
 /// + per-scenario tolerances.
 pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
@@ -30,6 +30,26 @@ pub const BASELINE_FORMAT: &str = "gcs-baseline/v2";
 /// Near-zero metrics (a skew of `1e-12` vs `2e-12`) must not trip the
 /// relative gate; drifts below this many seconds are never significant.
 const ABSOLUTE_FLOOR: f64 = 1e-6;
+
+/// Signed relative drift of `delta` against `reference` (`+0.25` = 25 %).
+/// A significant move away from a (near-)zero reference has no finite
+/// ratio and reports ±∞, so it still ranks as the worst drift and prints
+/// as `+inf%` rather than masquerading as `+0.0%`.
+pub(crate) fn relative_drift(delta: f64, reference: f64) -> f64 {
+    if reference.abs() >= ABSOLUTE_FLOOR {
+        delta / reference.abs()
+    } else if delta.abs() <= ABSOLUTE_FLOOR {
+        0.0
+    } else {
+        f64::INFINITY.copysign(delta)
+    }
+}
+
+/// Whether a drift of `delta` away from `reference` breaches the relative
+/// tolerance `tol` (drifts under the absolute floor never do).
+pub(crate) fn breaches(delta: f64, reference: f64, tol: f64) -> bool {
+    delta > tol * reference.abs() + ABSOLUTE_FLOOR
+}
 
 // ---------------------------------------------------------------------
 // Reading campaign artifacts
@@ -62,15 +82,6 @@ fn read_stats(v: &JsonValue, what: &str) -> Result<EnsembleStats, String> {
     })
 }
 
-/// Engine counters were added to outcomes after the first artifacts
-/// shipped; older files simply lack the field, which reads as 0.
-fn legacy_u64_field(v: &JsonValue, name: &str) -> u64 {
-    field(v, name, "")
-        .ok()
-        .and_then(JsonValue::as_u64)
-        .unwrap_or(0)
-}
-
 fn read_outcome(v: &JsonValue, what: &str) -> Result<ScenarioOutcome, String> {
     let mut trajectory = Vec::new();
     for (i, pt) in arr_field(v, "trajectory", what)?.iter().enumerate() {
@@ -96,9 +107,9 @@ fn read_outcome(v: &JsonValue, what: &str) -> Result<ScenarioOutcome, String> {
         messages_sent: u64_field(v, "messages_sent", what)?,
         messages_delivered: u64_field(v, "messages_delivered", what)?,
         messages_dropped: u64_field(v, "messages_dropped", what)?,
-        events: legacy_u64_field(v, "events"),
-        ticks: legacy_u64_field(v, "ticks"),
-        mode_evaluations: legacy_u64_field(v, "mode_evaluations"),
+        events: u64_field(v, "events", what)?,
+        ticks: u64_field(v, "ticks", what)?,
+        mode_evaluations: u64_field(v, "mode_evaluations", what)?,
         trajectory,
     })
 }
@@ -239,8 +250,8 @@ pub struct EnvelopeStats {
 
 /// The compact per-scenario statistics a baseline pins: ensemble mean and
 /// p90 of the primary metric and of both skew maxima, the mean
-/// stabilization time derived from the trajectories, and (since
-/// `gcs-baseline/v2`) the trajectory-envelope means.
+/// stabilization time derived from the trajectories, and the
+/// trajectory-envelope means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendRow {
     /// Scenario name.
@@ -265,18 +276,16 @@ pub struct TrendRow {
     pub p90_local: f64,
     /// Mean stabilization time (see [`stabilization_time`]).
     pub mean_stabilization: f64,
-    /// Trajectory-envelope means. `None` only for rows read back from a
-    /// legacy `gcs-baseline/v1` file, whose envelope columns then simply
-    /// do not gate.
-    pub envelope: Option<EnvelopeStats>,
+    /// Trajectory-envelope means.
+    pub envelope: EnvelopeStats,
 }
 
 impl TrendRow {
     /// The compared columns, as `(label, value)` pairs: seven scalar
-    /// columns, plus the three envelope columns when present.
+    /// columns, then the three envelope columns.
     #[must_use]
-    pub fn columns(&self) -> Vec<(&'static str, f64)> {
-        let mut cols = vec![
+    pub fn columns(&self) -> [(&'static str, f64); 10] {
+        [
             ("primary mean", self.mean_primary),
             ("primary p90", self.p90_primary),
             ("global mean", self.mean_global),
@@ -284,13 +293,10 @@ impl TrendRow {
             ("local mean", self.mean_local),
             ("local p90", self.p90_local),
             ("stabilization", self.mean_stabilization),
-        ];
-        if let Some(env) = self.envelope {
-            cols.push(("peak time", env.mean_peak_time));
-            cols.push(("growth slope", env.mean_growth_slope));
-            cols.push(("recovery slope", env.mean_recovery_slope));
-        }
-        cols
+            ("peak time", self.envelope.mean_peak_time),
+            ("growth slope", self.envelope.mean_growth_slope),
+            ("recovery slope", self.envelope.mean_recovery_slope),
+        ]
     }
 }
 
@@ -355,11 +361,11 @@ pub fn summarize(rows: &[CampaignRow]) -> Vec<TrendRow> {
                 // canonicalization is a no-op on real, time-sorted
                 // trajectories), computed once per outcome above.
                 mean_stabilization: env_mean(|e| e.settling_time),
-                envelope: Some(EnvelopeStats {
+                envelope: EnvelopeStats {
                     mean_peak_time: env_mean(|e| e.peak_time),
                     mean_growth_slope: env_mean(|e| e.growth_slope),
                     mean_recovery_slope: env_mean(|e| e.recovery_slope),
-                }),
+                },
             }
         })
         .collect()
@@ -429,9 +435,7 @@ impl TrendSummary {
 
 /// Whether a scenario's outcome depends on the run seed structurally —
 /// a seed-realized random topology, stochastic dynamics, or randomized
-/// drift — rather than only through message-delay noise. The trend-series
-/// gate ([`trendseries`](crate::trendseries)) reuses this classification
-/// for its per-scenario tolerances.
+/// drift — rather than only through message-delay noise.
 #[must_use]
 pub fn seed_sensitive(spec: &ScenarioSpec) -> bool {
     matches!(
@@ -454,6 +458,19 @@ pub const TOL_TIGHT: f64 = 0.25;
 /// Loose tolerance for seed-realized random families.
 pub const TOL_LOOSE: f64 = 0.60;
 
+/// The default relative tolerance for one scenario, with its class:
+/// [`TOL_LOOSE`] for seed-realized random families ([`seed_sensitive`])
+/// and for scenarios the registry does not know, [`TOL_TIGHT`] otherwise.
+/// Both gates — [`default_tolerances`] here and the trend-series gate —
+/// use it.
+pub(crate) fn scenario_tolerance(scenario: &str) -> (f64, &'static str) {
+    if crate::registry::find(scenario).is_none_or(|s| seed_sensitive(&s)) {
+        (TOL_LOOSE, "loose (seed-realized scenario)")
+    } else {
+        (TOL_TIGHT, "tight (deterministic scenario)")
+    }
+}
+
 /// The default per-scenario tolerance table for a summary: [`TOL_TIGHT`]
 /// for deterministic topologies/dynamics, [`TOL_LOOSE`] for seed-realized
 /// random families (looked up in the registry; unknown scenarios are
@@ -465,24 +482,20 @@ pub fn default_tolerances(summary: &TrendSummary) -> Vec<(String, f64)> {
     let mut tols: Vec<(String, f64)> = summary
         .rows
         .iter()
-        .map(|r| {
-            let loose = crate::registry::find(&r.name).is_none_or(|s| seed_sensitive(&s));
-            (r.name.clone(), if loose { TOL_LOOSE } else { TOL_TIGHT })
-        })
+        .map(|r| (r.name.clone(), scenario_tolerance(&r.name).0))
         .collect();
     tols.sort_by(|a, b| a.0.cmp(&b.0));
     tols
 }
 
 /// Serializes a summary as a `gcs-baseline/v2` document (one scenario per
-/// line, so checked-in baselines diff cleanly). Rows without envelope
-/// stats (read back from a v1 file) keep omitting the envelope fields;
-/// the tolerance table is embedded as relative fractions (`0.25` =
-/// ±25 %), exactly as held in memory, so the file round-trips bit-exactly.
+/// line, so checked-in baselines diff cleanly). The tolerance table is
+/// embedded as relative fractions (`0.25` = ±25 %), exactly as held in
+/// memory, so the file round-trips bit-exactly.
 #[must_use]
 pub fn baseline_json(summary: &TrendSummary) -> String {
     let row_json = |r: &TrendRow| {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("name", Json::Str(r.name.clone())),
             ("nodes", Json::Int(r.nodes)),
             ("metric", Json::Str(r.metric.clone())),
@@ -494,13 +507,13 @@ pub fn baseline_json(summary: &TrendSummary) -> String {
             ("mean_local_skew", Json::Num(r.mean_local)),
             ("p90_local_skew", Json::Num(r.p90_local)),
             ("mean_stabilization", Json::Num(r.mean_stabilization)),
-        ];
-        if let Some(env) = r.envelope {
-            fields.push(("mean_peak_time", Json::Num(env.mean_peak_time)));
-            fields.push(("mean_growth_slope", Json::Num(env.mean_growth_slope)));
-            fields.push(("mean_recovery_slope", Json::Num(env.mean_recovery_slope)));
-        }
-        Json::Obj(fields)
+            ("mean_peak_time", Json::Num(r.envelope.mean_peak_time)),
+            ("mean_growth_slope", Json::Num(r.envelope.mean_growth_slope)),
+            (
+                "mean_recovery_slope",
+                Json::Num(r.envelope.mean_recovery_slope),
+            ),
+        ])
     };
     let head = Json::Obj(vec![
         ("format", Json::Str(BASELINE_FORMAT.to_string())),
@@ -536,9 +549,7 @@ pub fn baseline_json(summary: &TrendSummary) -> String {
     out
 }
 
-/// Reads a baseline document — `gcs-baseline/v2` or a legacy
-/// `gcs-baseline/v1` (whose rows then carry no envelope and whose
-/// tolerance table is empty).
+/// Reads a `gcs-baseline/v2` document.
 ///
 /// # Errors
 ///
@@ -550,10 +561,9 @@ pub fn read_baseline(text: &str) -> Result<TrendSummary, String> {
 
 fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
     let format = str_field(doc, "format", "baseline")?;
-    if format != BASELINE_FORMAT && format != BASELINE_FORMAT_V1 {
+    if format != BASELINE_FORMAT {
         return Err(format!(
-            "expected format {BASELINE_FORMAT:?} (or legacy {BASELINE_FORMAT_V1:?}), \
-             got {format:?}"
+            "expected format {BASELINE_FORMAT:?}, got {format:?}"
         ));
     }
     let seeds = arr_field(doc, "seeds", "baseline")?
@@ -564,19 +574,6 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
     for sc in arr_field(doc, "scenarios", "baseline")? {
         let name = str_field(sc, "name", "baseline scenario")?;
         let what = format!("baseline scenario {name:?}");
-        // A v1 row never carries the envelope; a v2 row normally does,
-        // but a v2 file re-serialized from a v1 source keeps that row's
-        // envelope absent — tolerated on read, exactly like on write, so
-        // `baseline` never emits a document it cannot read back.
-        let envelope = if sc.get("mean_peak_time").is_some() {
-            Some(EnvelopeStats {
-                mean_peak_time: f64_field(sc, "mean_peak_time", &what)?,
-                mean_growth_slope: f64_field(sc, "mean_growth_slope", &what)?,
-                mean_recovery_slope: f64_field(sc, "mean_recovery_slope", &what)?,
-            })
-        } else {
-            None
-        };
         rows.push(TrendRow {
             nodes: u64_field(sc, "nodes", &what)?,
             metric: str_field(sc, "metric", &what)?,
@@ -588,8 +585,12 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
             mean_local: f64_field(sc, "mean_local_skew", &what)?,
             p90_local: f64_field(sc, "p90_local_skew", &what)?,
             mean_stabilization: f64_field(sc, "mean_stabilization", &what)?,
+            envelope: EnvelopeStats {
+                mean_peak_time: f64_field(sc, "mean_peak_time", &what)?,
+                mean_growth_slope: f64_field(sc, "mean_growth_slope", &what)?,
+                mean_recovery_slope: f64_field(sc, "mean_recovery_slope", &what)?,
+            },
             name,
-            envelope,
         });
     }
     let mut tolerances = Vec::new();
@@ -627,9 +628,11 @@ fn baseline_from_doc(doc: &JsonValue) -> Result<TrendSummary, String> {
 pub fn read_summary(text: &str) -> Result<TrendSummary, String> {
     let doc = json::parse(text)?;
     match str_field(&doc, "format", "artifact")?.as_str() {
-        BASELINE_FORMAT | BASELINE_FORMAT_V1 => baseline_from_doc(&doc),
+        BASELINE_FORMAT => baseline_from_doc(&doc),
         CAMPAIGN_FORMAT => Ok(TrendSummary::from_campaign(&campaign_from_doc(&doc)?)),
-        other => Err(format!("unknown artifact format {other:?}")),
+        other => Err(format!(
+            "expected format {BASELINE_FORMAT:?} or {CAMPAIGN_FORMAT:?}, got {other:?}"
+        )),
     }
 }
 
@@ -652,20 +655,11 @@ pub struct DriftFinding {
 }
 
 impl DriftFinding {
-    /// Signed relative drift (`+0.25` = 25 % above baseline). A
-    /// significant move away from a (near-)zero baseline has no finite
-    /// ratio and reports ±∞, so it still ranks as the worst drift and
-    /// prints as `+inf%` rather than masquerading as `+0.0%`.
+    /// Signed relative drift (`+0.25` = 25 % above baseline; ±∞ for a
+    /// significant move away from a (near-)zero baseline).
     #[must_use]
     pub fn relative(&self) -> f64 {
-        let delta = self.current - self.baseline;
-        if self.baseline.abs() >= ABSOLUTE_FLOOR {
-            delta / self.baseline.abs()
-        } else if delta.abs() <= ABSOLUTE_FLOOR {
-            0.0
-        } else {
-            f64::INFINITY.copysign(delta)
-        }
+        relative_drift(self.current - self.baseline, self.baseline)
     }
 }
 
@@ -692,8 +686,8 @@ impl CompareReport {
 /// count). A per-scenario override in the *baseline*'s tolerance table
 /// takes precedence over `tol` — tight for deterministic topologies,
 /// loose for seed-realized random families. Envelope columns (peak time,
-/// growth/recovery slope) gate whenever both sides carry them, so a
-/// doubled recovery slope fails even when every mean stays flat.
+/// growth/recovery slope) gate too, so a doubled recovery slope fails
+/// even when every mean stays flat.
 /// Scenario-set mismatches and changed seed counts are findings too —
 /// the baseline must be refreshed deliberately, not silently outgrown.
 #[must_use]
@@ -727,10 +721,7 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
          growth/recovery slope) fails the gate; refresh the baseline deliberately \
          when a change is intended.",
     );
-    let recovery_cell = |r: &TrendRow| {
-        r.envelope
-            .map_or("-".to_string(), |e| fmt(e.mean_recovery_slope))
-    };
+    let recovery_cell = |r: &TrendRow| fmt(r.envelope.mean_recovery_slope);
 
     for base_row in &baseline.rows {
         let row_tol = baseline.tolerance_for(&base_row.name, tol);
@@ -765,16 +756,14 @@ pub fn compare(baseline: &TrendSummary, current: &TrendSummary, tol: f64) -> Com
             });
         }
         let mut worst: Option<DriftFinding> = None;
-        // zip() stops at the shorter column list, so a legacy v1 side
-        // simply leaves the envelope columns ungated.
-        for ((label, base), (_, cur)) in base_row.columns().iter().zip(cur_row.columns().iter()) {
+        for ((label, base), (_, cur)) in base_row.columns().into_iter().zip(cur_row.columns()) {
             let finding = DriftFinding {
                 scenario: base_row.name.clone(),
-                column: (*label).to_string(),
-                baseline: *base,
-                current: *cur,
+                column: label.to_string(),
+                baseline: base,
+                current: cur,
             };
-            let out_of_tol = (cur - base).abs() > row_tol * base.abs() + ABSOLUTE_FLOOR;
+            let out_of_tol = breaches((cur - base).abs(), base, row_tol);
             if worst
                 .as_ref()
                 .is_none_or(|w| finding.relative().abs() > w.relative().abs())
@@ -886,49 +875,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_baselines_still_parse() {
-        // A v1 document as PR 3's writer emitted it: no envelope fields,
-        // no tolerance table.
-        let text = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
-                    \"seeds\":[0,1],\"scenarios\":[\n\
-                    {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":2,\
-                    \"mean_primary\":0.01,\"p90_primary\":0.012,\"mean_global_skew\":0.01,\
-                    \"p90_global_skew\":0.012,\"mean_local_skew\":0.005,\"p90_local_skew\":0.006,\
-                    \"mean_stabilization\":1.5}\n]}\n";
-        let summary = read_baseline(text).unwrap();
-        assert_eq!(summary.rows.len(), 1);
-        assert_eq!(summary.rows[0].envelope, None);
-        assert!(summary.tolerances.is_empty());
-        assert_eq!(read_summary(text).unwrap(), summary);
-        // Comparing a v1 baseline against a v2 current gates the scalar
-        // columns only (the envelope columns have no baseline).
-        let mut current = summary.clone();
-        current.rows[0].envelope = Some(EnvelopeStats {
-            mean_peak_time: 3.0,
-            mean_growth_slope: 0.01,
-            mean_recovery_slope: 0.02,
-        });
-        assert!(compare(&summary, &current, 0.05).passed());
-    }
-
-    #[test]
-    fn v2_reserialization_of_a_v1_baseline_reads_back() {
-        // `gcs-scenarios baseline` accepts a legacy v1 baseline as input
-        // and re-emits it as v2; the envelope-less rows must survive the
-        // round trip rather than poison the new file.
-        let v1 = "{\"format\":\"gcs-baseline/v1\",\"campaign\":\"old\",\"scale\":\"tiny\",\
-                  \"seeds\":[0],\"scenarios\":[\n\
-                  {\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\"runs\":1,\
-                  \"mean_primary\":0.01,\"p90_primary\":0.01,\"mean_global_skew\":0.01,\
-                  \"p90_global_skew\":0.01,\"mean_local_skew\":0.005,\"p90_local_skew\":0.005,\
-                  \"mean_stabilization\":1.5}\n]}\n";
-        let mut summary = read_baseline(v1).unwrap();
-        summary.tolerances = default_tolerances(&summary);
-        let v2_text = baseline_json(&summary);
-        assert!(v2_text.starts_with("{\"format\":\"gcs-baseline/v2\""));
-        let back = read_baseline(&v2_text).expect("v2 file with v1-sourced rows must parse");
-        assert_eq!(back, summary);
-        assert_eq!(back.rows[0].envelope, None);
+    fn v1_baselines_are_rejected() {
+        // The scalar-only format the first baseline writer emitted: no
+        // envelope fields, no tolerance table. No reader accepts it.
+        let v1 = BASELINE_FORMAT.replace("/v2", "/v1");
+        let text = format!(
+            "{{\"format\":\"{v1}\",\"campaign\":\"old\",\"scale\":\"tiny\",\"seeds\":[0,1],\
+             \"scenarios\":[\n{{\"name\":\"ring-steady\",\"nodes\":4,\"metric\":\"global-skew\",\
+             \"runs\":2,\"mean_primary\":0.01,\"p90_primary\":0.012,\"mean_global_skew\":0.01,\
+             \"p90_global_skew\":0.012,\"mean_local_skew\":0.005,\"p90_local_skew\":0.006,\
+             \"mean_stabilization\":1.5}}\n]}}\n"
+        );
+        for err in [
+            read_baseline(&text).unwrap_err(),
+            read_summary(&text).unwrap_err(),
+        ] {
+            assert!(err.contains("expected format"), "{err}");
+            assert!(err.contains(&format!("got {v1:?}")), "{err}");
+        }
     }
 
     #[test]
@@ -1012,8 +976,7 @@ mod tests {
         let base = TrendSummary::from_rows("smoke", Scale::Tiny, &seeds, &rows);
         let mut cur = base.clone();
         for row in &mut cur.rows {
-            let env = row.envelope.as_mut().unwrap();
-            env.mean_recovery_slope *= 1.4;
+            row.envelope.mean_recovery_slope *= 1.4;
         }
         let report = compare(&base, &cur, TOL_TIGHT);
         assert!(!report.passed(), "slope drift must gate");

@@ -13,16 +13,16 @@
 //!
 //! Gating is orientation-aware per metric: throughput regresses *down*,
 //! oracle utilization regresses *up*, and wall-clock is recorded but never
-//! gated (CI runners are too noisy for it). Tolerances reuse the
-//! [`trend`](crate::trend) classification: tight for deterministic
-//! scenarios, loose for seed-realized random families.
+//! gated (CI runners are too noisy for it). The absolute floor, relative
+//! drift, breach predicate and tight/loose tolerance lookup are the
+//! [`trend`](crate::trend) gate's own.
 
 use gcs_analysis::Table;
 
 use crate::bench::BenchEntry;
 use crate::conformance::ConformanceRow;
 use crate::json::{self, field, str_field, u64_field, Json, JsonValue};
-use crate::trend::{TOL_LOOSE, TOL_TIGHT};
+use crate::trend::{breaches, relative_drift, scenario_tolerance};
 
 /// The per-line format tag.
 pub const TREND_FORMAT: &str = "gcs-trend/v1";
@@ -33,10 +33,6 @@ pub const MIN_HISTORY: usize = 2;
 
 /// Default trailing-window size the gate compares the newest point against.
 pub const DEFAULT_WINDOW: usize = 5;
-
-/// Relative drifts under this absolute floor never count (same floor as
-/// the campaign gate: a 1e-12 vs 2e-12 utilization is not a regression).
-const ABSOLUTE_FLOOR: f64 = 1e-6;
 
 /// One appended observation: a `(kind, scenario, seed, threads)` run at
 /// some instant, carrying a flat name → value metric map.
@@ -306,16 +302,14 @@ impl TrendFinding {
     /// oriented so positive is always *worse*.
     #[must_use]
     pub fn relative(&self) -> f64 {
-        let delta = match self.orientation {
+        relative_drift(self.worsening(), self.median)
+    }
+
+    /// How far the newest point moved in the failing direction.
+    fn worsening(&self) -> f64 {
+        match self.orientation {
             Orientation::HigherBetter => self.median - self.current,
             _ => self.current - self.median,
-        };
-        if self.median.abs() >= ABSOLUTE_FLOOR {
-            delta / self.median.abs()
-        } else if delta.abs() <= ABSOLUTE_FLOOR {
-            0.0
-        } else {
-            f64::INFINITY.copysign(delta)
         }
     }
 
@@ -366,19 +360,13 @@ impl TrendGateReport {
 }
 
 /// The per-scenario tolerance and its provenance. `tol_override` (the
-/// CLI's `--tol`) wins; otherwise the [`trend`](crate::trend)
-/// classification decides — tight for deterministic scenarios, loose for
-/// seed-realized random families (unknown scenarios count as random).
+/// CLI's `--tol`) wins; otherwise [`scenario_tolerance`] decides.
 fn tolerance_for(scenario: &str, tol_override: Option<f64>) -> (f64, String) {
     if let Some(t) = tol_override {
         return (t, "--tol override".to_string());
     }
-    let loose = crate::registry::find(scenario).is_none_or(|s| crate::trend::seed_sensitive(&s));
-    if loose {
-        (TOL_LOOSE, "loose (seed-realized scenario)".to_string())
-    } else {
-        (TOL_TIGHT, "tight (deterministic scenario)".to_string())
-    }
+    let (tol, class) = scenario_tolerance(scenario);
+    (tol, class.to_string())
 }
 
 fn median(sorted: &mut [f64]) -> f64 {
@@ -456,11 +444,6 @@ pub fn trend_gate(
             } else if orient == Orientation::Informational {
                 status = "info";
             } else {
-                let breach = match orient {
-                    Orientation::HigherBetter => med - current > tol * med.abs() + ABSOLUTE_FLOOR,
-                    Orientation::LowerBetter => current - med > tol * med.abs() + ABSOLUTE_FLOOR,
-                    Orientation::Informational => false,
-                };
                 let finding = TrendFinding {
                     kind: newest.kind.clone(),
                     scenario: newest.scenario.clone(),
@@ -475,7 +458,7 @@ pub fn trend_gate(
                     tolerance_source: tol_source.clone(),
                 };
                 drift_cell = format!("{:+.1}%", finding.relative() * 100.0);
-                if breach {
+                if breaches(finding.worsening(), med, tol) {
                     status = "REGRESSION";
                     findings.push(finding);
                 }

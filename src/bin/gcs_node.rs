@@ -180,9 +180,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if o.count == 0 {
         return Err("--count must be at least 1".to_string());
     }
-    // Node IDs are `u32`, and `u32::MAX` is reserved: the wire decoder
-    // maps every out-of-range ID to it. So every hosted ID lies below
-    // `u32::MAX`, which is exactly when `first + count` fits a `u32`.
+    // Node IDs are `u32` (the wire decoder rejects a flood naming a wider
+    // ID as corrupt), and every hosted ID lies below `u32::MAX`, which is
+    // exactly when `first + count` fits a `u32`.
     let end = o.first.checked_add(o.count).ok_or_else(|| {
         format!(
             "hosted IDs [{}, {}) do not fit the node ID space [0, {})",
@@ -602,7 +602,11 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Listener::Unix(_, path) = &listener {
         let _ = std::fs::remove_file(path);
     }
-    println!("shutdown clean");
+    // The reader may have closed stdout by now; like the status block,
+    // ignore the broken pipe instead of panicking on it.
+    let mut out = std::io::stdout().lock();
+    let _ = out.write_all(b"shutdown clean\n");
+    let _ = out.flush();
     Ok(())
 }
 

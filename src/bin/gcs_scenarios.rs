@@ -215,8 +215,8 @@ USAGE:
         it to FILE (default: stdout). Check the summary in to pin the
         current behaviour; hand-tune tolerances in the file if needed.
     gcs-scenarios compare <baseline> <campaign.json>... [--tol PCT]
-        Diff a fresh campaign against a baseline (gcs-baseline/v2, legacy
-        v1, or a raw gcs-campaign/v1 artifact) and exit non-zero on any
+        Diff a fresh campaign against a baseline (gcs-baseline/v2 or a
+        raw gcs-campaign/v1 artifact) and exit non-zero on any
         per-scenario drift beyond the scenario's tolerance — its override
         from the baseline's tolerance table when present, else PCT
         percent (default 20). With several campaign files (e.g. an

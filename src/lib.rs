@@ -59,9 +59,9 @@ pub mod prelude {
     };
     pub use gcs_baselines::{MaxOnlyPolicy, SingleLevelPolicy};
     pub use gcs_core::{
-        AoptPolicy, ClockSnapshot, DiameterTracker, ErrorModel, EstimateMode, EventLog,
-        InsertionStrategy, LogEntry, Mode, ModePolicy, Params, ParamsBuilder, ParamsError,
-        SimBuilder, SimStats, Simulation, Trace,
+        AoptPolicy, ClockSnapshot, DiameterTracker, ErrorModel, EstimateMode, InsertionStrategy,
+        Mode, ModePolicy, Params, ParamsBuilder, ParamsError, SimBuilder, SimStats, Simulation,
+        Trace,
     };
     pub use gcs_net::{ChurnOptions, EdgeParams, EdgeParamsMap, NetworkSchedule, Topology};
     pub use gcs_scenarios::{

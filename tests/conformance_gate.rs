@@ -27,15 +27,11 @@ fn perturbed_recovery_slope_fails_compare_with_a_readable_table() {
     let rows = campaign::run_campaign(&specs, &seeds).unwrap();
     let baseline = trend::TrendSummary::from_rows("all", Scale::Tiny, &seeds, &rows);
     assert!(
-        baseline.rows[0].envelope.unwrap().mean_recovery_slope > 0.0,
+        baseline.rows[0].envelope.mean_recovery_slope > 0.0,
         "self-heal must have a measurable recovery slope"
     );
     let mut current = baseline.clone();
-    current.rows[0]
-        .envelope
-        .as_mut()
-        .unwrap()
-        .mean_recovery_slope *= 1.4;
+    current.rows[0].envelope.mean_recovery_slope *= 1.4;
 
     let report = trend::compare(&baseline, &current, trend::TOL_TIGHT);
     assert!(!report.passed(), "a +40% recovery slope must fail the gate");

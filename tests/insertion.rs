@@ -51,10 +51,12 @@ fn levels_unlock_monotonically() {
 fn handshake_agreement_lemma_5_5() {
     // Both endpoints must agree on (T0, I) — checked continuously by the
     // engine's invariant checker; here we additionally require that the
-    // insertion actually got scheduled on both sides.
+    // insertion actually got scheduled on both sides, from exactly one
+    // leader offer.
     let chord = EdgeKey::new(NodeId(0), NodeId(4));
     let mut sim = insertion_sim(8, chord, 1.0, 0.05, 2);
     sim.run_until_secs(30.0);
+    assert_eq!(sim.stats().handshakes_offered, 1);
     assert_eq!(sim.stats().insertions_scheduled, 2);
     assert!(sim.verify_invariants().is_empty());
 }

@@ -137,6 +137,28 @@ fn a_peer_hello_with_an_overflowing_range_is_survived() {
 }
 
 #[test]
+fn a_daemon_whose_stdout_is_closed_still_exits_cleanly() {
+    let sock = std::env::temp_dir().join(format!("gcs-node-stdout-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut a = daemon()
+        .args(["--uds", sock.to_str().unwrap()])
+        .args(["--first", "0", "--count", "1", "--total", "1"])
+        .args(["--refresh", "0.1", "--status-every", "0.1"])
+        .spawn()
+        .unwrap();
+    let mut a_out = BufReader::new(a.stdout.take().unwrap());
+    let _ = announced_addr(&mut a_out);
+    // The reader goes away first; the shutdown marker then hits a
+    // broken pipe, which must not turn the graceful exit into a panic.
+    drop(a_out);
+    std::thread::sleep(Duration::from_millis(300));
+    drop(a.stdin.take());
+    let status = wait_with_deadline(&mut a, 5).expect("daemon ignored stdin EOF");
+    assert_eq!(status.code(), Some(0), "the daemon died: {status}");
+    assert!(!sock.exists(), "the daemon left its socket file behind");
+}
+
+#[test]
 fn the_complete_mesh_is_reported_without_waiting_for_the_status_period() {
     let dir = std::env::temp_dir();
     let sock_a = dir.join(format!("gcs-node-mesh-a-{}.sock", std::process::id()));

@@ -332,7 +332,7 @@ fn trace_diff_pinpoints_the_first_divergent_record() {
 }
 
 #[test]
-fn diameter_tracking_and_event_log_are_rejected() {
+fn diameter_tracking_is_rejected() {
     let spec = registry::find("ring-steady")
         .expect("built-in")
         .scaled(Scale::Tiny);
@@ -345,10 +345,4 @@ fn diameter_tracking_and_event_log_are_rejected() {
         err,
         ParallelBuildError::DiameterTrackingUnsupported
     ));
-    let err = ParallelSimBuilder::new(spec.builder(0).expect("builds").log_events(64))
-        .shards(2)
-        .build()
-        .map(|_| ())
-        .expect_err("event log is sequential-only");
-    assert!(matches!(err, ParallelBuildError::EventLogUnsupported));
 }
