@@ -15,7 +15,8 @@
 //! | Neighbour sets `N^s_u`, Listing 2 insertion times | [`edge_state`] |
 //! | FC / SC / max-estimate triggers, Listing 3 (Defs 4.5–4.7) | [`triggers`] |
 //! | Max estimate `M_u` (Cond. 4.3) and `G̃_u(t)` bracket (§7) | [`node`] |
-//! | Listing 1 handshake, flooding, delivery rule | [`Simulation`] |
+//! | Listing 1 handshake transitions | [`gcs_protocol::handshake`] |
+//! | Timers, transport, delivery, oracle estimates | [`Simulation`] |
 //!
 //! # Quickstart
 //!
@@ -60,7 +61,7 @@ pub use gcs_protocol::{
     NeighborView, NodeView, Params, ParamsBuilder, ParamsError, StabilityCert,
 };
 pub use parallel::{
-    Engine, EngineGauges, ParallelBuildError, ParallelSimBuilder, ParallelSimulation, Partition,
+    Engine, EngineGauges, ParallelBuildError, ParallelSimBuilder, ParallelSimulation,
 };
 pub use sim::{BuildError, ChangeRecord, SimBuilder, SimStats, Simulation};
 pub use snapshot::{ClockSnapshot, Trace};

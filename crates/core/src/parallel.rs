@@ -12,7 +12,7 @@
 //!
 //! # Architecture
 //!
-//! Nodes are partitioned into contiguous-ID shards ([`Partition`]). Each
+//! Nodes are partitioned into contiguous-ID shards of near-equal size. Each
 //! shard owns a calendar [`EventQueue`] holding every node-local event
 //! (floods, deliveries, rate changes, handshake timers) of its nodes, a
 //! namespaced sequence counter, and private scratch. The master
@@ -47,40 +47,26 @@
 //!   equal-latency edges) commute: bound merges are max/min operations and
 //!   per-sender estimate slots are disjoint.
 //!
-//! The equivalence test grid (scenarios × shard counts × partitioners)
-//! enforces all of this bit-for-bit, counters included.
+//! The equivalence test grid (scenarios × shard counts) enforces all of
+//! this bit-for-bit, counters included.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 
-use gcs_net::{DynamicGraph, EdgeKey, EdgeParams, NodeId};
+use gcs_net::{DynamicGraph, EdgeParams, NodeId};
 use gcs_sim::{EventQueue, SimTime};
 use gcs_telemetry::{LocalCounters, TelemetrySink};
 
 use crate::node::NodeState;
 use crate::params::Params;
-use crate::shard::{balanced_ranges, contiguous_ranges, owner, owning_node, LocalCtx, ShardSink};
+use crate::shard::{contiguous_ranges, owner, owning_node, LocalCtx, ShardSink};
 use crate::sim::{BuildError, Event, SimBuilder, SimStats, Simulation};
-use gcs_protocol::EdgeInfo;
 
 /// Shard-spawned events take sequence keys from per-shard counters
 /// namespaced above this bit, keeping them disjoint from build-time keys
 /// (small integers) and from every other shard.
 const SEQ_NAMESPACE_SHIFT: u32 = 48;
-
-/// How the node set is split into shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// Contiguous ID blocks of (nearly) equal node count.
-    #[default]
-    Contiguous,
-    /// Contiguous ID blocks balanced by node degree in the scenario's
-    /// edge universe — better load balance when degree is skewed (the
-    /// per-node event rate is roughly proportional to degree).
-    DegreeBalanced,
-}
 
 /// Why [`ParallelSimBuilder::build`] refused to construct an engine.
 #[derive(Debug)]
@@ -94,18 +80,6 @@ pub enum ParallelBuildError {
     /// edges with positive `delay_min`), so no conservative window exists
     /// for more than one shard.
     NoLookahead,
-    /// A window override exceeded the model-derived lookahead bound.
-    ///
-    /// A window wider than the minimum transit latency would let a
-    /// cross-shard message land inside an already-drained window —
-    /// conservative synchronization is unsound past that bound, so the
-    /// builder rejects it at construction.
-    WindowTooWide {
-        /// The requested window (seconds).
-        requested: f64,
-        /// The largest sound window: the scenario's minimum `delay_min`.
-        max: f64,
-    },
 }
 
 impl std::fmt::Display for ParallelBuildError {
@@ -117,10 +91,6 @@ impl std::fmt::Display for ParallelBuildError {
             }
             ParallelBuildError::NoLookahead => f.write_str(
                 "scenario has no positive minimum transit latency: no conservative window exists",
-            ),
-            ParallelBuildError::WindowTooWide { requested, max } => write!(
-                f,
-                "window {requested} exceeds the lookahead bound {max} (minimum transit latency)"
             ),
         }
     }
@@ -135,26 +105,18 @@ impl From<BuildError> for ParallelBuildError {
 }
 
 /// Builder for [`ParallelSimulation`]: wraps a fully configured
-/// [`SimBuilder`] and adds the sharding knobs.
+/// [`SimBuilder`] and adds the shard count.
 #[derive(Debug)]
 pub struct ParallelSimBuilder {
     inner: SimBuilder,
     shards: usize,
-    partition: Partition,
-    window_override: Option<f64>,
 }
 
 impl ParallelSimBuilder {
-    /// Wraps a configured sequential builder. Defaults: 1 shard,
-    /// contiguous partition, model-derived window.
+    /// Wraps a configured sequential builder. Default: 1 shard.
     #[must_use]
     pub fn new(inner: SimBuilder) -> Self {
-        ParallelSimBuilder {
-            inner,
-            shards: 1,
-            partition: Partition::Contiguous,
-            window_override: None,
-        }
+        ParallelSimBuilder { inner, shards: 1 }
     }
 
     /// Number of shards (worker parallelism). Clamped to the node count
@@ -162,25 +124,6 @@ impl ParallelSimBuilder {
     #[must_use]
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n.max(1);
-        self
-    }
-
-    /// Partitioning strategy.
-    #[must_use]
-    pub fn partition(mut self, p: Partition) -> Self {
-        self.partition = p;
-        self
-    }
-
-    /// Overrides the synchronization window width (seconds).
-    ///
-    /// Only narrowing is allowed: build fails with
-    /// [`ParallelBuildError::WindowTooWide`] if the override exceeds the
-    /// scenario's minimum transit latency, because a wider window is not
-    /// a conservative lookahead and would break determinism.
-    #[must_use]
-    pub fn lookahead_override(mut self, window: f64) -> Self {
-        self.window_override = Some(window);
         self
     }
 
@@ -205,32 +148,16 @@ impl ParallelSimBuilder {
             .values()
             .map(|info| info.params.delay_min)
             .fold(f64::INFINITY, f64::min);
-        let window = match self.window_override {
-            Some(w) if w > lookahead => {
-                return Err(ParallelBuildError::WindowTooWide {
-                    requested: w,
-                    max: lookahead,
-                });
-            }
-            Some(w) => w,
-            None => lookahead,
+        let window = if shards == 1 {
+            f64::INFINITY
+        } else {
+            lookahead
         };
-        let window = if shards == 1 { f64::INFINITY } else { window };
         if window.is_nan() || window <= 0.0 {
             return Err(ParallelBuildError::NoLookahead);
         }
 
-        let ranges = match self.partition {
-            Partition::Contiguous => contiguous_ranges(n, shards),
-            Partition::DegreeBalanced => {
-                let mut degree = vec![0u64; n];
-                for key in sim.edge_info.keys() {
-                    degree[key.lo().index()] += 1;
-                    degree[key.hi().index()] += 1;
-                }
-                balanced_ranges(&degree, shards)
-            }
-        };
+        let ranges = contiguous_ranges(n, shards);
         let starts: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         let mut shard_states: Vec<Shard> = ranges
             .into_iter()
@@ -294,7 +221,6 @@ struct Shard {
 struct SharedCtx<'a> {
     params: &'a Params,
     message_mode: bool,
-    edge_info: &'a HashMap<EdgeKey, EdgeInfo>,
     graph: &'a DynamicGraph,
     refresh: f64,
     starts: &'a [usize],
@@ -373,7 +299,6 @@ fn drain_one(work: Work<'_>, shared: &SharedCtx<'_>, cut: SimTime, strict: bool)
             flood_buf: &mut *flood_buf,
             params: shared.params,
             message_mode: shared.message_mode,
-            edge_info: shared.edge_info,
             graph: shared.graph,
             diameter: None,
             refresh: shared.refresh,
@@ -670,7 +595,6 @@ impl ParallelSimulation {
             flood_buf: &mut *flood_buf,
             params: &sim.params,
             message_mode: matches!(sim.mode, crate::EstimateMode::Messages),
-            edge_info: &sim.edge_info,
             graph: &sim.graph,
             diameter: None,
             refresh: sim.refresh,
@@ -691,7 +615,6 @@ impl ParallelSimulation {
         let shared = SharedCtx {
             params: &sim.params,
             message_mode: matches!(sim.mode, crate::EstimateMode::Messages),
-            edge_info: &sim.edge_info,
             graph: &sim.graph,
             refresh: sim.refresh,
             starts: &self.starts,
@@ -906,6 +829,7 @@ mod tests {
     use super::*;
     use crate::sim::Payload;
     use gcs_net::Topology;
+    use gcs_protocol::FloodMsg;
     use gcs_sim::DriftModel;
 
     fn builder(seed: u64) -> SimBuilder {
@@ -919,12 +843,12 @@ mod tests {
     /// A flood whose bounds no organic run could produce, so whether it
     /// was delivered is visible in the receiver's state.
     fn poison() -> Payload {
-        Payload::Flood {
+        Payload::Flood(FloodMsg {
             logical: 1.0e6,
             max_est: 1.0e6,
             min_lb: 0.0,
             max_ub: 2.0e6,
-        }
+        })
     }
 
     /// §3.1 boundary, removal side: an edge removal scheduled at exactly a

@@ -150,23 +150,12 @@ fn replay_static_run(
                 src,
                 dst,
                 sent_at,
-                payload:
-                    Payload::Flood {
-                        logical,
-                        max_est,
-                        min_lb,
-                        max_ub,
-                    },
+                payload: Payload::Flood(msg),
             } => Act::Deliver {
                 src: *src,
                 dst: *dst,
                 sent_at: *sent_at,
-                msg: FloodMsg {
-                    logical: *logical,
-                    max_est: *max_est,
-                    min_lb: *min_lb,
-                    max_ub: *max_ub,
-                },
+                msg: *msg,
             },
             Event::RateChange { node, rate } => Act::Rate {
                 node: *node,

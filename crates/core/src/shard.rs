@@ -21,22 +21,20 @@
 //! function of that node's own event order — identical under sequential
 //! and sharded execution.
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 
 use gcs_net::transport;
-use gcs_net::{DynamicGraph, EdgeKey, EdgeParams, NodeId};
+use gcs_net::{DynamicGraph, EdgeParams, NodeId};
 use gcs_sim::{EventQueue, SimDuration, SimTime};
 use gcs_telemetry::LocalCounters;
 
-use crate::edge_state::{align_t0, InsertState};
 use crate::node::NodeState;
 use crate::params::Params;
 use crate::sim::{Event, Payload, SimStats};
-use gcs_protocol::flood::{self, FloodMsg};
-use gcs_protocol::EdgeInfo;
+use gcs_protocol::flood;
+use gcs_protocol::handshake::Step;
 
 /// Where a handler's spawned events go: the master queue (sequential
 /// engine) or a shard queue plus cross-shard mailbox ([`ShardSink`]).
@@ -120,37 +118,6 @@ pub(crate) fn contiguous_ranges(n: usize, shards: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Splits `n` nodes into `shards` contiguous ranges balanced by the given
-/// per-node weights (degrees in the scenario's edge universe): boundary
-/// `i` lands where the weight prefix sum crosses `i/shards` of the total.
-/// Every shard still gets at least one node.
-pub(crate) fn balanced_ranges(weights: &[u64], shards: usize) -> Vec<Range<usize>> {
-    let n = weights.len();
-    assert!(shards >= 1 && shards <= n);
-    // +1 per node keeps zero-degree stretches from collapsing into one
-    // shard and guarantees strictly increasing cut points exist.
-    let total: u64 = weights.iter().map(|&w| w + 1).sum();
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    let mut next = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w + 1;
-        // Close the current shard once its weight quota is met, leaving
-        // enough nodes for the remaining shards.
-        let quota = total * (ranges.len() as u64 + 1) / shards as u64;
-        let remaining_shards = shards - ranges.len() - 1;
-        if ranges.len() < shards - 1 && acc >= quota && n - (i + 1) >= remaining_shards {
-            ranges.push(start..i + 1);
-            start = i + 1;
-        }
-        next = i + 1;
-    }
-    ranges.push(start..next);
-    debug_assert_eq!(ranges.len(), shards);
-    ranges
-}
-
 /// Everything one node-local handler may touch: the owned node range
 /// (mutable), the matching hot-column rows, the event sink, and shared
 /// read-only engine state.
@@ -180,8 +147,6 @@ pub(crate) struct LocalCtx<'a, S: EventSink> {
     /// Whether estimates are message-borne (stored samples are decision
     /// inputs).
     pub message_mode: bool,
-    /// Per-edge derived constants (read-only, shared).
-    pub edge_info: &'a HashMap<EdgeKey, EdgeInfo>,
     /// The dynamic graph — read-only between rendezvous points (only the
     /// master's edge-up/down handlers write it); used by the debug
     /// cross-check of the §3.1 delivery rule.
@@ -230,18 +195,44 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 self.node_mut(node).set_hw_rate(rate);
                 self.mark_dirty(node);
             }
+            // The handshake timers: the decision is the protocol's; a timer
+            // that fired short of its deadline is re-armed as it is.
             Event::LeaderCheck {
                 u,
                 v,
                 generation,
                 target_logical,
-            } => self.on_leader_check(t, u, v, generation, target_logical),
+            } => {
+                self.advance(u.index(), t);
+                let i = self.local(u.index());
+                match self.nodes[i].leader_check(v, generation, target_logical, self.params) {
+                    Step::Ignore => {}
+                    Step::Rearm => self.arm(t, u, target_logical, event),
+                    Step::Done((offer, edge)) => {
+                        self.mark_dirty(u.index());
+                        self.stats.handshakes_offered += 1;
+                        self.stats.insertions_scheduled += 1;
+                        self.send(t, u, v, edge, Payload::InsertEdge(offer));
+                    }
+                }
+            }
             Event::FollowerApply {
                 u,
                 v,
                 generation,
                 target_logical,
-            } => self.on_follower_apply(t, u, v, generation, target_logical),
+            } => {
+                self.advance(u.index(), t);
+                let i = self.local(u.index());
+                match self.nodes[i].follower_apply(v, generation, target_logical, self.params) {
+                    Step::Ignore => {}
+                    Step::Rearm => self.arm(t, u, target_logical, event),
+                    Step::Done(()) => {
+                        self.mark_dirty(u.index());
+                        self.stats.insertions_scheduled += 1;
+                    }
+                }
+            }
             Event::Tick | Event::EdgeUp { .. } | Event::EdgeDown { .. } => {
                 unreachable!("cross-shard-state event routed to a node-local handler")
             }
@@ -289,13 +280,7 @@ impl<S: EventSink> LocalCtx<'_, S> {
 
     fn on_flood(&mut self, t: SimTime, u: NodeId) {
         self.advance(u.index(), t);
-        let msg = flood::flood_from(self.node(u.index()));
-        let payload = Payload::Flood {
-            logical: msg.logical,
-            max_est: msg.max_est,
-            min_lb: msg.min_lb,
-            max_ub: msg.max_ub,
-        };
+        let payload = Payload::Flood(flood::flood_from(self.node(u.index())));
         // The neighbour table mirrors the graph adjacency (same ids, same
         // ascending order) and already carries each edge's parameters.
         let i = self.local(u.index());
@@ -338,16 +323,17 @@ impl<S: EventSink> LocalCtx<'_, S> {
     ) {
         // §3.1 delivery rule: `(dst, src)` continuously present since the
         // send. [`transport::deliverable`] is the documented reference
-        // implementation of the rule; this inlined check answers the same
-        // query from the receiver's slot table, which mirrors the graph
-        // adjacency (both are written at exactly the edge-up/edge-down
+        // implementation of the rule; the protocol's slot check answers
+        // the same query from the receiver's slot table, which mirrors the
+        // graph adjacency (both are written at exactly the edge-up/edge-down
         // sites with the same timestamps) — one lookup then serves the
-        // rule, the edge constants, and the estimate write. Debug builds
-        // assert the two implementations agree on every message.
-        let info = match self.node(dst.index()).slots.entry(src) {
-            Some(entry) if entry.slot.discovered_at <= sent_at => Some(entry.info),
-            _ => None,
-        };
+        // rule and the edge constants. Debug builds assert the two
+        // implementations agree on every message.
+        let info = self
+            .node(dst.index())
+            .slots
+            .deliverable(src, sent_at)
+            .map(|entry| entry.info);
         #[cfg(debug_assertions)]
         {
             let reference = transport::deliverable(
@@ -372,16 +358,9 @@ impl<S: EventSink> LocalCtx<'_, S> {
         };
         self.stats.messages_delivered += 1;
         self.advance(dst.index(), t);
-        let rho = self.params.rho();
-        let beta = self.params.beta();
-        let is_message_mode = self.message_mode;
+        let params = self.params;
         match payload {
-            Payload::Flood {
-                logical,
-                max_est,
-                min_lb,
-                max_ub,
-            } => {
+            Payload::Flood(msg) => {
                 if let Some(tracker) = self.diameter.as_deref_mut() {
                     tracker.on_delivery(
                         src.index(),
@@ -394,19 +373,14 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 let outcome = flood::merge_flood(
                     self.node_mut(dst.index()),
                     src,
-                    FloodMsg {
-                        logical,
-                        max_est,
-                        min_lb,
-                        max_ub,
-                    },
+                    msg,
                     info.params,
-                    rho,
-                    beta,
+                    params.rho(),
+                    params.beta(),
                 );
                 // In message mode the stored sample *is* a decision input;
                 // in oracle mode the views never read it.
-                if outcome.estimate_written && is_message_mode {
+                if outcome.estimate_written && self.message_mode {
                     self.mark_dirty(dst.index());
                 }
                 // An upward M jump flips a slow-decided node only once the
@@ -416,7 +390,7 @@ impl<S: EventSink> LocalCtx<'_, S> {
                 // can make this conservative but never unsound.)
                 if outcome.m_moved
                     && self.m_jump_sensitive[self.local(dst.index())]
-                    && flood::m_jump_triggers_fast(self.node(dst.index()), self.params.iota())
+                    && flood::m_jump_triggers_fast(self.node(dst.index()), params.iota())
                 {
                     self.mark_dirty(dst.index());
                 }
@@ -427,148 +401,31 @@ impl<S: EventSink> LocalCtx<'_, S> {
                     }
                 }
             }
-            Payload::InsertEdge { l_ins, g_tilde } => {
-                let l_now = self.node(dst.index()).logical();
-                let wait = beta * (info.params.delay_bound() + info.params.tau);
-                let Some(slot) = self.node_mut(dst.index()).slots.get_mut(src) else {
-                    return; // Edge vanished at the receiver: offer ignored.
-                };
-                // Only accept an offer for a fresh, unscheduled incarnation.
-                if !matches!(slot.insert, InsertState::Pending) {
+            Payload::InsertEdge(offer) => {
+                let i = self.local(dst.index());
+                let Some((generation, target)) = self.nodes[i].receive_offer(src, offer, params)
+                else {
                     return;
-                }
-                slot.insert = InsertState::FollowerWait {
-                    l_ins,
-                    g_tilde,
-                    l_at_receive: l_now,
                 };
-                let generation = slot.generation;
                 self.mark_dirty(dst.index());
-                self.schedule_logical_event(t, dst, l_now + wait, |target_logical| {
-                    Event::FollowerApply {
-                        u: dst,
-                        v: src,
-                        generation,
-                        target_logical,
-                    }
-                });
+                let apply = Event::FollowerApply {
+                    u: dst,
+                    v: src,
+                    generation,
+                    target_logical: target,
+                };
+                self.arm(t, dst, target, apply);
             }
         }
     }
 
-    /// Shard-side twin of `Simulation::schedule_logical_event` — the same
-    /// float expression, with the event time anchored at the explicit
-    /// current instant `t` (a shard worker has no `self.now`).
-    fn schedule_logical_event(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        target: f64,
-        make_event: impl FnOnce(f64) -> Event,
-    ) {
-        let node = self.node(u.index());
-        let rate = node.mode().multiplier(self.params.mu()) * node.hw_rate();
-        let dt = ((target - node.logical()) / rate).max(0.0);
-        self.sink
-            .schedule(t + SimDuration::from_secs(dt), make_event(target));
-    }
-
-    fn on_leader_check(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    ) {
-        self.advance(u.index(), t);
-        let Some(slot) = self.node(u.index()).slots.get(v) else {
-            return; // Edge went down; a rediscovery starts a new handshake.
-        };
-        if slot.generation != generation || !matches!(slot.insert, InsertState::Pending) {
-            return;
-        }
-        if self.node(u.index()).logical() < target_logical - 1e-12 {
-            // Rates changed during the wait; try again when we get there.
-            self.schedule_logical_event(t, u, target_logical, |target_logical| {
-                Event::LeaderCheck {
-                    u,
-                    v,
-                    generation,
-                    target_logical,
-                }
-            });
-            return;
-        }
-        // Continuity (Listing 1 line 6) holds by construction: the slot has
-        // existed since `discovered_l` and L has advanced by beta * Delta.
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let g_tilde = if self.params.dynamic_estimates() {
-            // The iota margin absorbs the bracket's tick-level optimism.
-            self.node(u.index()).g_estimate() + self.params.iota()
-        } else {
-            self.params.g_tilde().expect("static G~ filled at build")
-        };
-        let l_now = self.node(u.index()).logical();
-        let l_ins = l_now + g_tilde + self.params.beta() * info.params.delay_bound();
-        let i = self.params.insertion_duration(info.params, g_tilde);
-        let t0 = align_t0(l_ins, i);
-        if let Some(slot) = self.node_mut(u.index()).slots.get_mut(v) {
-            slot.insert = InsertState::Scheduled { t0, i };
-        }
-        self.mark_dirty(u.index());
-        self.stats.handshakes_offered += 1;
-        self.stats.insertions_scheduled += 1;
-        self.send(t, u, v, info.params, Payload::InsertEdge { l_ins, g_tilde });
-    }
-
-    fn on_follower_apply(
-        &mut self,
-        t: SimTime,
-        u: NodeId,
-        v: NodeId,
-        generation: u64,
-        target_logical: f64,
-    ) {
-        self.advance(u.index(), t);
-        let Some(slot) = self.node(u.index()).slots.get(v) else {
-            return;
-        };
-        if slot.generation != generation {
-            return;
-        }
-        let InsertState::FollowerWait {
-            l_ins,
-            g_tilde,
-            l_at_receive,
-        } = slot.insert
-        else {
-            return;
-        };
-        if self.node(u.index()).logical() < target_logical - 1e-12 {
-            self.schedule_logical_event(t, u, target_logical, |target_logical| {
-                Event::FollowerApply {
-                    u,
-                    v,
-                    generation,
-                    target_logical,
-                }
-            });
-            return;
-        }
-        // Listing 1 line 13: the edge must have been present throughout the
-        // logical window reaching back to the receive instant.
-        if slot.discovered_l > l_at_receive {
-            return;
-        }
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let i = self.params.insertion_duration(info.params, g_tilde);
-        let t0 = align_t0(l_ins, i);
-        if let Some(slot) = self.node_mut(u.index()).slots.get_mut(v) {
-            slot.insert = InsertState::Scheduled { t0, i };
-        }
-        self.mark_dirty(u.index());
-        self.stats.insertions_scheduled += 1;
+    /// Schedules node `u`'s handshake timer `event` for when its logical
+    /// clock reaches `target`, with the delay the master's leader-check
+    /// arming uses too ([`NodeState::secs_to_logical`]), counted from the
+    /// explicit current instant `t` (a shard worker has no `self.now`).
+    fn arm(&mut self, t: SimTime, u: NodeId, target: f64, event: Event) {
+        let dt = self.node(u.index()).secs_to_logical(target, self.params);
+        self.sink.schedule(t + SimDuration::from_secs(dt), event);
     }
 }
 
@@ -591,29 +448,6 @@ mod tests {
                 assert!(!ranges.last().unwrap().is_empty());
             }
         }
-    }
-
-    #[test]
-    fn balanced_ranges_cover_and_track_weight() {
-        // A degree-skewed profile: heavy head, light tail.
-        let weights: Vec<u64> = (0..32).map(|i| if i < 4 { 20 } else { 1 }).collect();
-        let ranges = balanced_ranges(&weights, 4);
-        assert_eq!(ranges.len(), 4);
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, 32);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-        // The heavy head must not drag half the tail with it.
-        assert!(
-            ranges[0].len() < 16,
-            "first shard too large: {:?}",
-            ranges[0]
-        );
-        // Degenerate cases still cover.
-        let flat = balanced_ranges(&[0u64; 5], 5);
-        assert_eq!(flat.len(), 5);
-        assert!(flat.iter().all(|r| r.len() == 1));
     }
 
     #[test]

@@ -26,11 +26,13 @@
 //! * `Flood` — a node's periodic broadcast of `(L, M, W, P)` (the flooding
 //!   of Condition 4.3 / §7; in message-estimate mode it doubles as the
 //!   clock-sample carrier),
-//! * `Deliver` — message arrival, subject to the §3.1 continuity rule,
+//! * `Deliver` — arrival of a flood or a Listing 1 insertion offer,
+//!   subject to the §3.1 continuity rule,
 //! * `EdgeUp` / `EdgeDown` — the scenario's scripted edge dynamics,
 //! * `RateChange` — the drift adversary adjusting a hardware clock,
-//! * `LeaderCheck` / `FollowerApply` — the two timed steps of the Listing 1
-//!   insertion handshake.
+//! * `LeaderCheck` / `FollowerApply` — the two timers of the Listing 1
+//!   insertion handshake, armed at logical deadlines; their decisions are
+//!   the [`gcs_protocol::handshake`] transitions.
 
 use std::collections::HashMap;
 
@@ -48,25 +50,21 @@ use gcs_telemetry::{LocalCounters, TelemetrySink};
 use crate::shard::LocalCtx;
 use crate::snapshot::ClockSnapshot;
 use gcs_protocol::edge_state::{EdgeSlot, InsertState, Level};
+use gcs_protocol::handshake::{self, Discovery};
 use gcs_protocol::node::{NeighborEntry, NodeState};
 use gcs_protocol::runtime::derive_run_config;
 use gcs_protocol::triggers::{
     fast_trigger, slow_trigger, AoptPolicy, Mode, ModePolicy, NeighborView, NodeView,
 };
-use gcs_protocol::{EdgeInfo, EstimateMode, InsertionStrategy, Params};
+use gcs_protocol::{EdgeInfo, EstimateMode, FloodMsg, InsertOffer, InsertionStrategy, Params};
 
 /// Message bodies exchanged by nodes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Payload {
     /// Periodic flood: clock sample plus the three network-wide bounds.
-    Flood {
-        logical: f64,
-        max_est: f64,
-        min_lb: f64,
-        max_ub: f64,
-    },
+    Flood(FloodMsg),
     /// Listing 1 line 9: the leader's insertion offer.
-    InsertEdge { l_ins: f64, g_tilde: f64 },
+    InsertEdge(InsertOffer),
 }
 
 /// Engine events.
@@ -485,21 +483,20 @@ impl SimBuilder {
         sim.queue = queue;
 
         // Kick off handshakes for one-directional initial edges.
-        let starts: Vec<(NodeId, NodeId, u64)> = sim
+        let starts: Vec<(NodeId, NodeId, u64, f64)> = sim
             .nodes
             .iter()
             .flat_map(|node| {
                 let u = node.id();
-                node.slots
-                    .iter()
-                    .filter(|e| matches!(e.slot.insert, InsertState::Pending))
-                    .map(move |e| (u, e.id, e.slot.generation))
+                let params = &sim.params;
+                node.slots.iter().filter_map(move |e| {
+                    let target = handshake::leader_deadline(u, e, params)?;
+                    Some((u, e.id, e.slot.generation, target))
+                })
             })
             .collect();
-        for (u, v, generation) in starts {
-            if Simulation::is_leader(u, v) {
-                sim.schedule_leader_check(u, v, generation);
-            }
+        for (u, v, generation, target) in starts {
+            sim.schedule_leader_check(u, v, generation, target);
         }
         Ok(sim)
     }
@@ -621,10 +618,6 @@ impl Simulation {
     /// The effective (validated + derived) parameters.
     #[must_use]
     pub fn params(&self) -> &Params {
-        self.params_ref()
-    }
-
-    fn params_ref(&self) -> &Params {
         &self.params
     }
 
@@ -684,12 +677,6 @@ impl Simulation {
     #[must_use]
     pub fn edge_info(&self, e: EdgeKey) -> Option<EdgeInfo> {
         self.edge_info.get(&e).copied()
-    }
-
-    /// The deterministic leader of a potential edge (lower id, §4.3).
-    #[must_use]
-    pub fn is_leader(u: NodeId, v: NodeId) -> bool {
-        u < v
     }
 
     /// Runs until simulated time `t` (inclusive of events at `t`), then
@@ -1108,7 +1095,7 @@ impl Simulation {
             }
             // Lemma 5.3: the triggers are mutually exclusive.
             let neighbors = self.neighbor_views(u.index());
-            let view = self.node_view(u.index(), &neighbors);
+            let view = NodeView::of(node, &self.params, &neighbors);
             if fast_trigger(&view, self.params.max_levels())
                 && slow_trigger(&view, self.params.max_levels())
             {
@@ -1183,7 +1170,6 @@ impl Simulation {
             flood_buf: &mut self.scratch.flood,
             params: &self.params,
             message_mode: matches!(self.mode, EstimateMode::Messages),
-            edge_info: &self.edge_info,
             graph: &self.graph,
             diameter: self.diameter.as_mut(),
             refresh: self.refresh,
@@ -1228,36 +1214,17 @@ impl Simulation {
         let logical = node.logical();
         let mut unlock_margin = f64::INFINITY;
         for entry in node.slots.iter() {
-            let info = &entry.info;
-            let level = entry.slot.insert.level_at(logical);
-            if let InsertState::Scheduled { t0, i } = entry.slot.insert {
-                if let Level::Finite(s) = level {
-                    // T_{s+1} is the next threshold L_u can cross
-                    // (T_1 = t0 covers the not-yet-started case).
-                    unlock_margin = unlock_margin.min(InsertState::t_s(t0, i, s + 1) - logical);
-                }
-            }
-            // Under the decaying-weight strategy the edge's effective
-            // weight (and with it delta) shrinks with the local clock.
-            let (kappa, delta) = match self.params.insertion_strategy() {
-                InsertionStrategy::Staged => (info.kappa, info.delta),
-                InsertionStrategy::DecayingWeight { halving } => {
-                    let k = entry
-                        .slot
-                        .insert
-                        .effective_kappa(logical, info.kappa, halving);
-                    (k, self.params.delta_for_kappa(k, info.params, info.epsilon))
-                }
-            };
             let truth = self.nodes[entry.id.index()].logical_at(t, &self.params);
-            out.push(NeighborView {
-                estimate: self.estimate_from_entry(node, entry, truth),
-                kappa,
-                epsilon: info.epsilon,
-                tau: info.params.tau,
-                delta,
-                level,
-            });
+            let estimate = self.estimate_from_entry(node, entry, truth);
+            let view = NeighborView::of(entry, logical, estimate, &self.params);
+            if let (InsertState::Scheduled { t0, i }, Level::Finite(s)) =
+                (entry.slot.insert, view.level)
+            {
+                // T_{s+1} is the next threshold L_u can cross
+                // (T_1 = t0 covers the not-yet-started case).
+                unlock_margin = unlock_margin.min(InsertState::t_s(t0, i, s + 1) - logical);
+            }
+            out.push(view);
         }
         unlock_margin
     }
@@ -1290,19 +1257,6 @@ impl Simulation {
                 );
                 Some(ka.max(kb))
             }
-        }
-    }
-
-    fn node_view<'a>(&self, u: usize, neighbors: &'a [NeighborView]) -> NodeView<'a> {
-        let node = &self.nodes[u];
-        NodeView {
-            logical: node.logical(),
-            max_estimate: node.max_estimate(),
-            current_mode: node.mode(),
-            iota: self.params.iota(),
-            mu: self.params.mu(),
-            rho: self.params.rho(),
-            neighbors,
         }
     }
 
@@ -1340,7 +1294,7 @@ impl Simulation {
         for &u in &eval {
             let u = u as usize;
             let unlock_margin = self.fill_neighbor_views(u, t, &mut views);
-            let view = self.node_view(u, &views);
+            let view = NodeView::of(&self.nodes[u], &self.params, &views);
             // With certificates disabled (decaying-weight strategy) the
             // margin computation would be discarded — don't pay for it.
             let (mode, cert) = if self.certs_enabled {
@@ -1404,7 +1358,7 @@ impl Simulation {
         for (u, _) in skipped.iter().enumerate().filter(|&(_, &s)| s) {
             self.nodes[u].advance_to(t, &self.params);
             self.fill_neighbor_views(u, t, &mut views);
-            let view = self.node_view(u, &views);
+            let view = NodeView::of(&self.nodes[u], &self.params, &views);
             let mode = self.policy.decide(&view);
             assert_eq!(
                 mode,
@@ -1430,29 +1384,14 @@ impl Simulation {
         self.nodes[from.index()].advance_to(t, &self.params);
         self.gen_counter += 1;
         let generation = self.gen_counter;
-        let logical = self.nodes[from.index()].logical();
         let info = self.edge_info[&EdgeKey::new(from, to)];
-        let mut slot = EdgeSlot::discovered(t, logical, generation);
-        slot.oracle_bias = self.bias_rng.gen_range(-1.0..=1.0);
-        if let InsertionStrategy::DecayingWeight { .. } = self.params.insertion_strategy() {
-            // Section 5.5's simpler strategy: no handshake; start the local
-            // weight decay from 2x the best available global-skew bound.
-            let g = if self.params.dynamic_estimates() {
-                self.nodes[from.index()].g_estimate() + self.params.iota()
-            } else {
-                self.params.g_tilde().expect("static G~ filled at build")
-            };
-            slot.insert = InsertState::Decaying {
-                l0: logical,
-                kappa0: (2.0 * g).max(info.kappa),
-            };
-            self.stats.insertions_scheduled += 1;
-        }
-        let staged = matches!(slot.insert, InsertState::Pending);
-        self.nodes[from.index()].slots.insert(to, info, slot);
+        let bias = self.bias_rng.gen_range(-1.0..=1.0);
+        let step = self.nodes[from.index()].discover(to, info, t, generation, bias, &self.params);
         self.hot.stable_until[from.index()] = f64::NEG_INFINITY;
-        if staged && Self::is_leader(from, to) {
-            self.schedule_leader_check(from, to, generation);
+        match step {
+            Discovery::Lead { target } => self.schedule_leader_check(from, to, generation, target),
+            Discovery::Follow => {}
+            Discovery::Decaying => self.stats.insertions_scheduled += 1,
         }
     }
 
@@ -1477,45 +1416,24 @@ impl Simulation {
         self.stats.edge_removals += 1;
     }
 
-    fn schedule_leader_check(&mut self, u: NodeId, v: NodeId, generation: u64) {
-        let info = self.edge_info[&EdgeKey::new(u, v)];
-        let delta = self.params.handshake_delta(info.params);
-        let target = self.nodes[u.index()]
-            .slots
-            .get(v)
-            .map(|s| s.discovered_l)
-            .unwrap_or_default()
-            + self.params.beta() * delta;
-        self.schedule_logical_event(u, target, |target_logical| Event::LeaderCheck {
+    /// Arms node `u`'s leader check for the edge to `v` for when its
+    /// logical clock reaches `target` ([`NodeState::secs_to_logical`]; the
+    /// handler re-checks, since rates may change during the wait).
+    ///
+    /// Master-side only (build and edge-up); the shard-side handlers re-arm
+    /// through [`LocalCtx`] with the same delay function. When the redirect
+    /// seam is active (parallel engine) the spawned node-local event is
+    /// buffered for routing to its owner shard instead of being enqueued
+    /// here.
+    fn schedule_leader_check(&mut self, u: NodeId, v: NodeId, generation: u64, target: f64) {
+        let dt = self.nodes[u.index()].secs_to_logical(target, &self.params);
+        let at = self.now + SimDuration::from_secs(dt);
+        let event = Event::LeaderCheck {
             u,
             v,
             generation,
-            target_logical,
-        });
-    }
-
-    /// Schedules `make_event(target)` for (approximately) the moment node
-    /// `u`'s logical clock reaches `target`. Handlers must re-check and
-    /// reschedule if the clock has not reached the target yet (rates may
-    /// have changed in between); reaching a logical target is always a
-    /// *lower* bound on elapsed real time, which is what Listing 1 needs.
-    ///
-    /// Master-side only (build and edge-up); the shard-side twin lives on
-    /// [`LocalCtx`] and computes the *same float expression*. When the
-    /// redirect seam is active (parallel engine) the spawned node-local
-    /// event is buffered for routing to its owner shard instead of being
-    /// enqueued here.
-    fn schedule_logical_event(
-        &mut self,
-        u: NodeId,
-        target: f64,
-        make_event: impl FnOnce(f64) -> Event,
-    ) {
-        let node = &self.nodes[u.index()];
-        let rate = node.mode().multiplier(self.params.mu()) * node.hw_rate();
-        let dt = ((target - node.logical()) / rate).max(0.0);
-        let at = self.now + SimDuration::from_secs(dt);
-        let event = make_event(target);
+            target_logical: target,
+        };
         match &mut self.redirect {
             Some(buf) => buf.push((at, event)),
             None => self.queue.schedule(at, event),

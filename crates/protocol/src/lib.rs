@@ -20,6 +20,7 @@
 //! | [`node`] | per-node clock/bound state (`L_u`, `M_u`, `[W_u, P_u]`) |
 //! | [`triggers`] | fast/slow mode triggers (Defs 4.5–4.7, Listing 3) |
 //! | [`edge_state`] | staged insertion levels (Listings 1–2, §5.5 decay) |
+//! | [`handshake`] | the Listing 1 insertion handshake as slot transitions |
 //! | [`estimate`] | the estimate layer and its advertised uncertainty `ε` |
 //! | [`flood`] | Condition 4.3 max-estimate flood merge with min-transit credit |
 //! | [`params`] | the paper's parameter soup (`ρ`, `µ`, `ι`, `κ`, `G̃`, …) |
@@ -32,6 +33,7 @@
 pub mod edge_state;
 pub mod estimate;
 pub mod flood;
+pub mod handshake;
 pub mod node;
 pub mod params;
 pub mod runtime;
@@ -40,6 +42,7 @@ pub mod wire;
 
 pub use estimate::{ErrorModel, EstimateMode};
 pub use flood::{flood_from, m_jump_triggers_fast, merge_flood, FloodMsg, MergeOutcome};
+pub use handshake::{Discovery, InsertOffer, Step};
 pub use node::{EdgeInfo, NeighborEntry, NeighborTable, NodeState};
 pub use params::{InsertionStrategy, Params, ParamsBuilder, ParamsError};
 pub use runtime::NodeCore;

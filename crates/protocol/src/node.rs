@@ -127,6 +127,17 @@ impl NeighborTable {
         self.position(v).ok().map(|i| &self.entries[i])
     }
 
+    /// The §3.1 delivery rule on the receiver's side: the entry for `src`
+    /// if its slot existed at the send instant — the edge has been
+    /// present continuously since `sent_at`, because a removal drops the
+    /// slot and a rediscovery restamps it. `None` drops the message.
+    #[must_use]
+    #[inline]
+    pub fn deliverable(&self, src: NodeId, sent_at: SimTime) -> Option<&NeighborEntry> {
+        self.entry(src)
+            .filter(|entry| entry.slot.discovered_at <= sent_at)
+    }
+
     /// Mutable access to the full entry for neighbour `v` (one search for
     /// callers that read the cached info *and* write the slot).
     pub fn entry_mut(&mut self, v: NodeId) -> Option<&mut NeighborEntry> {
@@ -425,23 +436,15 @@ impl NodeState {
         }
     }
 
-    /// Merges a received max estimate (already credited for minimum
-    /// transit). Returns whether `M_u` actually moved — the engine uses
-    /// this to keep its dirty-node bookkeeping precise.
-    pub fn merge_max_estimate(&mut self, candidate: f64) -> bool {
-        self.reanchor();
-        let changed = candidate > self.max_est_at_anchor;
-        if changed {
-            self.max_est_at_anchor = candidate;
-        }
-        self.clamp_and_commit();
-        changed
-    }
-
-    /// Merges a full flood `(M, W, P)` triple in one re-anchor — the
-    /// per-delivery hot path. Equivalent to calling the three single-bound
-    /// merges in sequence (the interleaved clamps commute; see the unit
-    /// test). Returns whether `M_u` moved.
+    /// Merges a received flood's `(M, W, P)` triple in one re-anchor: `M`
+    /// (already credited for minimum transit) and `W` only rise, `P`
+    /// (already padded for maximal in-transit growth) only falls, and the
+    /// invariant clamps are re-applied. A neutral bound (`−∞` for `M` and
+    /// `W`, `+∞` for `P`) leaves its quantity alone. Equivalent to merging
+    /// the three bounds one at a time, each with its own re-anchor and
+    /// clamp (the interleaved clamps commute; the unit tests keep that
+    /// sequential reference). Returns whether `M_u` moved — the engine
+    /// uses this to keep its dirty-node bookkeeping precise.
     pub fn merge_flood_bounds(&mut self, max_est: f64, min_lb: f64, max_ub: f64) -> bool {
         // All three bounds already dominated: nothing changes, so skip the
         // re-anchor (the cached values equal the anchored segment at `now`,
@@ -462,25 +465,6 @@ impl NodeState {
         }
         self.clamp_and_commit();
         changed
-    }
-
-    /// Merges a received minimum-clock lower bound.
-    pub fn merge_min_lower_bound(&mut self, candidate: f64) {
-        self.reanchor();
-        if candidate > self.min_lb_at_anchor {
-            self.min_lb_at_anchor = candidate;
-        }
-        self.clamp_and_commit();
-    }
-
-    /// Merges a received maximum-clock upper bound (already padded for
-    /// maximal in-transit growth).
-    pub fn merge_max_upper_bound(&mut self, candidate: f64) {
-        self.reanchor();
-        if candidate < self.max_ub_at_anchor {
-            self.max_ub_at_anchor = candidate;
-        }
-        self.clamp_and_commit();
     }
 
     /// Overwrites the logical clock (fault injection / corruption
@@ -526,6 +510,36 @@ mod tests {
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// The single-bound merges, each with its own re-anchor and clamp:
+    /// the sequential reference `merge_flood_bounds` is checked against.
+    impl NodeState {
+        fn merge_max_estimate(&mut self, candidate: f64) -> bool {
+            self.reanchor();
+            let changed = candidate > self.max_est_at_anchor;
+            if changed {
+                self.max_est_at_anchor = candidate;
+            }
+            self.clamp_and_commit();
+            changed
+        }
+
+        fn merge_min_lower_bound(&mut self, candidate: f64) {
+            self.reanchor();
+            if candidate > self.min_lb_at_anchor {
+                self.min_lb_at_anchor = candidate;
+            }
+            self.clamp_and_commit();
+        }
+
+        fn merge_max_upper_bound(&mut self, candidate: f64) {
+            self.reanchor();
+            if candidate < self.max_ub_at_anchor {
+                self.max_ub_at_anchor = candidate;
+            }
+            self.clamp_and_commit();
+        }
     }
 
     #[test]

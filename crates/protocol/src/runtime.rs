@@ -15,9 +15,11 @@
 //!
 //! Scope: `NodeCore` runs the *message-mode* estimate layer (clock
 //! samples carried by the floods themselves) over a static neighbour set
-//! installed fully inserted at startup. The staged insertion handshake
-//! and the oracle estimate layer need engine-side machinery (scripted
-//! truth, generation-tracked rediscovery) and stay in `gcs-core` for now.
+//! installed fully inserted at startup. The Listing 1 insertion handshake
+//! lives in this crate as slot transitions ([`crate::handshake`]) that
+//! both engines call, but `NodeCore` has no handshake timers and the
+//! wire has no INSERT frame yet, so a daemon cannot insert an edge. The
+//! oracle estimate layer needs scripted truth and stays in `gcs-core`.
 
 use std::collections::HashMap;
 
@@ -28,7 +30,7 @@ use crate::edge_state::EdgeSlot;
 use crate::estimate::EstimateMode;
 use crate::flood::{flood_from, merge_flood, FloodMsg, MergeOutcome};
 use crate::node::{EdgeInfo, NodeState};
-use crate::params::{InsertionStrategy, Params};
+use crate::params::Params;
 use crate::triggers::{AoptPolicy, Mode, ModePolicy, NeighborView, NodeView};
 
 /// One outbound message: the flood body to put on the wire for `dst`.
@@ -256,10 +258,7 @@ impl NodeCore {
         sent_at: SimTime,
         msg: FloodMsg,
     ) -> Option<MergeOutcome> {
-        let edge = match self.state.slots.entry(src) {
-            Some(entry) if entry.slot.discovered_at <= sent_at => entry.info.params,
-            _ => return None,
-        };
+        let edge = self.state.slots.deliverable(src, sent_at)?.info.params;
         self.state.advance_to(t, &self.params);
         Some(merge_flood(
             &mut self.state,
@@ -300,20 +299,17 @@ impl NodeCore {
     /// certified skip (that is the certificates' soundness contract).
     pub fn evaluate(&mut self, t: SimTime) -> Mode {
         self.state.advance_to(t, &self.params);
-        let mut views = std::mem::take(&mut self.views);
-        self.fill_views(&mut views);
-        let view = NodeView {
-            logical: self.state.logical(),
-            max_estimate: self.state.max_estimate(),
-            current_mode: self.state.mode(),
-            iota: self.params.iota(),
-            mu: self.params.mu(),
-            rho: self.params.rho(),
-            neighbors: &views,
-        };
+        // The message-mode views: a `NodeCore` has no scripted truth, so
+        // each estimate is the dead-reckoned flood sample.
+        let (logical, hw) = (self.state.logical(), self.state.hardware());
+        self.views.clear();
+        self.views.extend(self.state.slots.iter().map(|entry| {
+            let estimate = entry.slot.reckoned_estimate(hw);
+            NeighborView::of(entry, logical, estimate, &self.params)
+        }));
+        let view = NodeView::of(&self.state, &self.params, &self.views);
         let mode = self.policy.decide(&view);
         self.state.set_mode(mode);
-        self.views = views;
         mode
     }
 
@@ -334,37 +330,6 @@ impl NodeCore {
             self.next_tick += tick;
         }
         Some(self.evaluate(t))
-    }
-
-    /// The message-mode neighbour views: the same per-entry computation
-    /// as the engines' view fill, minus the oracle-layer branches (a
-    /// `NodeCore` has no scripted truth to read).
-    fn fill_views(&self, out: &mut Vec<NeighborView>) {
-        out.clear();
-        let logical = self.state.logical();
-        let hw = self.state.hardware();
-        for entry in self.state.slots.iter() {
-            let info = &entry.info;
-            let level = entry.slot.insert.level_at(logical);
-            let (kappa, delta) = match self.params.insertion_strategy() {
-                InsertionStrategy::Staged => (info.kappa, info.delta),
-                InsertionStrategy::DecayingWeight { halving } => {
-                    let k = entry
-                        .slot
-                        .insert
-                        .effective_kappa(logical, info.kappa, halving);
-                    (k, self.params.delta_for_kappa(k, info.params, info.epsilon))
-                }
-            };
-            out.push(NeighborView {
-                estimate: entry.slot.reckoned_estimate(hw),
-                kappa,
-                epsilon: info.epsilon,
-                tau: info.params.tau,
-                delta,
-                level,
-            });
-        }
     }
 }
 
@@ -405,6 +370,52 @@ mod tests {
         assert!(cfg.params.g_tilde().unwrap() > 0.0);
         assert!(cfg.refresh > 0.0 && cfg.tick > 0.0);
         assert_eq!(cfg.edge_info.len(), 1);
+    }
+
+    #[test]
+    fn one_representative_edge_derives_the_complete_graphs_constants() {
+        // The daemon's setup: uniform edge parameters over the complete
+        // graph. One key must give bit-identical constants to all of them.
+        let base = Params::builder()
+            .rho(1e-3)
+            .mu(0.1)
+            .refresh_period(0.2)
+            .build()
+            .unwrap();
+        let edge = EdgeParams::try_new(1e-3, 0.05, 0.0, 0.05).unwrap();
+        let map = EdgeParamsMap::uniform(edge);
+        let n = 40u32;
+        let complete: Vec<EdgeKey> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| EdgeKey::new(NodeId(a), NodeId(b))))
+            .collect();
+        let one = [EdgeKey::new(NodeId(0), NodeId(1))];
+        let mode = EstimateMode::Messages;
+        let full = derive_run_config(&base, mode, &map, &complete, n as usize);
+        let single = derive_run_config(&base, mode, &map, &one, n as usize);
+        assert_eq!(full.edge_info.len(), complete.len());
+        assert_eq!(full.params, single.params);
+        for (a, b) in [
+            (full.params.iota(), single.params.iota()),
+            (
+                full.params.g_tilde().unwrap(),
+                single.params.g_tilde().unwrap(),
+            ),
+            (full.refresh, single.refresh),
+            (full.tick, single.tick),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let rep = single.edge_info[&one[0]];
+        for info in full.edge_info.values() {
+            assert_eq!(info.params, rep.params);
+            for (a, b) in [
+                (info.epsilon, rep.epsilon),
+                (info.kappa, rep.kappa),
+                (info.delta, rep.delta),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 use std::fmt;
 
 use crate::edge_state::Level;
+use crate::node::{NeighborEntry, NodeState};
+use crate::params::{InsertionStrategy, Params};
 
 /// The two logical clock rates of the algorithm (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -65,6 +67,41 @@ pub struct NeighborView {
     pub level: Level,
 }
 
+impl NeighborView {
+    /// The view a node at logical clock `logical` has of one neighbour
+    /// entry, given the host's estimate of it: the unlocked level, and
+    /// the edge weight and slack — decayed with the local clock under the
+    /// decaying-weight strategy (§5.5), the final `κ`/`δ` otherwise.
+    #[must_use]
+    #[inline]
+    pub fn of(
+        entry: &NeighborEntry,
+        logical: f64,
+        estimate: Option<f64>,
+        params: &Params,
+    ) -> NeighborView {
+        let info = &entry.info;
+        let (kappa, delta) = match params.insertion_strategy() {
+            InsertionStrategy::Staged => (info.kappa, info.delta),
+            InsertionStrategy::DecayingWeight { halving } => {
+                let k = entry
+                    .slot
+                    .insert
+                    .effective_kappa(logical, info.kappa, halving);
+                (k, params.delta_for_kappa(k, info.params, info.epsilon))
+            }
+        };
+        NeighborView {
+            estimate,
+            kappa,
+            epsilon: info.epsilon,
+            tau: info.params.tau,
+            delta,
+            level: entry.slot.insert.level_at(logical),
+        }
+    }
+}
+
 /// Everything a [`ModePolicy`] may consult.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeView<'a> {
@@ -84,7 +121,23 @@ pub struct NodeView<'a> {
     pub neighbors: &'a [NeighborView],
 }
 
-impl NodeView<'_> {
+impl<'a> NodeView<'a> {
+    /// The view of `node` (advanced to the decision instant) with its
+    /// neighbour views.
+    #[must_use]
+    #[inline]
+    pub fn of(node: &NodeState, params: &Params, neighbors: &'a [NeighborView]) -> NodeView<'a> {
+        NodeView {
+            logical: node.logical(),
+            max_estimate: node.max_estimate(),
+            current_mode: node.mode(),
+            iota: params.iota(),
+            mu: params.mu(),
+            rho: params.rho(),
+            neighbors,
+        }
+    }
+
     /// Upper bound on the level scan: beyond this `s`, no neighbour can
     /// satisfy either existential clause.
     fn scan_limit(&self, max_levels: u32) -> u32 {

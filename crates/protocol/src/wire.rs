@@ -20,7 +20,10 @@
 //! [`Frame::decode`] works on a growing receive buffer: it either
 //! consumes exactly one frame, reports that more bytes are needed, or
 //! rejects the stream as corrupt (oversized length prefix, unknown kind,
-//! payload length not matching the kind, a flood node ID beyond `u32`).
+//! payload length not matching the kind, a flood node ID beyond `u32`, a
+//! flood `sent_at` that is not a finite non-negative instant, or a flood
+//! clock value that is not finite). A peer's bytes therefore never reach
+//! an assertion: whatever arrives is a frame or a [`WireError`].
 
 use gcs_net::NodeId;
 use gcs_sim::SimTime;
@@ -83,6 +86,15 @@ pub enum WireError {
     },
     /// A flood's `src` or `dst` does not fit the `u32` node ID space.
     IdOutOfRange(u64),
+    /// A flood field holds a value no sender produces: a `sent_at` that
+    /// is not a finite non-negative instant, or a clock value that is not
+    /// finite.
+    BadValue {
+        /// The offending field.
+        field: &'static str,
+        /// Its raw IEEE-754 bits.
+        bits: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -100,6 +112,13 @@ impl std::fmt::Display for WireError {
             }
             WireError::IdOutOfRange(id) => {
                 write!(f, "node ID {id} exceeds the u32 node ID space")
+            }
+            WireError::BadValue { field, bits } => {
+                write!(
+                    f,
+                    "flood {field} = {} is out of range",
+                    f64::from_bits(*bits)
+                )
             }
         }
     }
@@ -119,8 +138,17 @@ fn get_u64(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
 }
 
-fn get_f64(buf: &[u8], at: usize) -> f64 {
-    f64::from_bits(get_u64(buf, at))
+/// Reads a flood value, rejecting one that fails `valid`.
+fn get_f64(
+    buf: &[u8],
+    at: usize,
+    field: &'static str,
+    valid: fn(f64) -> bool,
+) -> Result<f64, WireError> {
+    let bits = get_u64(buf, at);
+    Some(f64::from_bits(bits))
+        .filter(|&v| valid(v))
+        .ok_or(WireError::BadValue { field, bits })
 }
 
 impl Frame {
@@ -203,15 +231,17 @@ impl Frame {
                         .map(NodeId)
                         .map_err(|_| WireError::IdOutOfRange(raw))
                 };
+                let (src, dst) = (node(5)?, node(13)?);
+                let instant = |v: f64| v.is_finite() && v >= 0.0;
                 Frame::Flood {
-                    src: node(5)?,
-                    dst: node(13)?,
-                    sent_at: SimTime::from_secs(get_f64(buf, 21)),
+                    src,
+                    dst,
+                    sent_at: SimTime::from_secs(get_f64(buf, 21, "sent_at", instant)?),
                     msg: FloodMsg {
-                        logical: get_f64(buf, 29),
-                        max_est: get_f64(buf, 37),
-                        min_lb: get_f64(buf, 45),
-                        max_ub: get_f64(buf, 53),
+                        logical: get_f64(buf, 29, "logical", f64::is_finite)?,
+                        max_est: get_f64(buf, 37, "max_est", f64::is_finite)?,
+                        min_lb: get_f64(buf, 45, "min_lb", f64::is_finite)?,
+                        max_ub: get_f64(buf, 53, "max_ub", f64::is_finite)?,
                     },
                 }
             }
@@ -334,6 +364,33 @@ mod tests {
         let beyond = u64::from(u32::MAX) + 1;
         wide[13..21].copy_from_slice(&beyond.to_le_bytes());
         assert_eq!(Frame::decode(&wide), Err(WireError::IdOutOfRange(beyond)));
+        // Well-formed floods carrying values no sender produces: a send
+        // instant that is not a finite non-negative time, or a clock value
+        // that is not finite. Decoding reports them instead of panicking.
+        for (at, field, value) in [
+            (21, "sent_at", f64::NAN),
+            (21, "sent_at", -1.0),
+            (21, "sent_at", f64::INFINITY),
+            (29, "logical", f64::INFINITY),
+            (37, "max_est", f64::NAN),
+            (45, "min_lb", f64::NEG_INFINITY),
+            (53, "max_ub", f64::NAN),
+        ] {
+            let mut bad = flood().to_bytes();
+            bad[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+            assert_eq!(
+                Frame::decode(&bad),
+                Err(WireError::BadValue {
+                    field,
+                    bits: value.to_bits()
+                }),
+                "{field} = {value}"
+            );
+        }
+        // Zero is a valid send instant, negative zero included.
+        let mut origin = flood().to_bytes();
+        origin[21..29].copy_from_slice(&(-0.0f64).to_bits().to_le_bytes());
+        assert!(Frame::decode(&origin).unwrap().is_some());
     }
 
     #[test]

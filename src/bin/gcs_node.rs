@@ -357,9 +357,11 @@ fn run(args: &[String]) -> Result<(), String> {
     let o = parse_options(args)?;
 
     // Shared run constants: the exact derivation the simulation builder
-    // uses, over the complete-graph edge universe. `delay_min` is zero —
-    // loopback transit can be arbitrarily fast, so the cores take no
-    // min-transit credit.
+    // uses. `delay_min` is zero — loopback transit can be arbitrarily
+    // fast, so the cores take no min-transit credit. Every edge of the
+    // complete graph has the same parameters, so one representative edge
+    // derives the same constants as all `total²/2` of them (the node
+    // count enters separately), without materializing the universe.
     let base = Params::builder()
         .rho(o.rho)
         .mu(o.mu)
@@ -369,12 +371,11 @@ fn run(args: &[String]) -> Result<(), String> {
     let edge = EdgeParams::try_new(o.epsilon, o.tau, 0.0, o.delay_max)
         .map_err(|e| format!("invalid edge parameters: {e}"))?;
     let edge_params = EdgeParamsMap::uniform(edge);
-    let mut universe = Vec::new();
-    for a in 0..o.total {
-        for b in (a + 1)..o.total {
-            universe.push(EdgeKey::new(NodeId(a), NodeId(b)));
-        }
-    }
+    let universe: Vec<EdgeKey> = if o.total >= 2 {
+        vec![EdgeKey::new(NodeId(0), NodeId(1))]
+    } else {
+        Vec::new()
+    };
     let cfg = derive_run_config(
         &base,
         EstimateMode::Messages,
@@ -405,10 +406,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 SimTime::from_secs(stagger),
             )
             .with_tick(cfg.tick);
-            for peer in 0..o.total {
-                if peer != id {
-                    let key = EdgeKey::new(NodeId(id), NodeId(peer));
-                    core.add_neighbor(NodeId(peer), cfg.edge_info[&key]);
+            if let Some(&info) = cfg.edge_info.values().next() {
+                for peer in (0..o.total).filter(|&peer| peer != id) {
+                    core.add_neighbor(NodeId(peer), info);
                 }
             }
             core

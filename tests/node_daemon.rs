@@ -137,6 +137,71 @@ fn a_peer_hello_with_an_overflowing_range_is_survived() {
 }
 
 #[test]
+fn a_peer_flood_with_a_nan_send_instant_drops_the_peer_not_the_daemon() {
+    use gcs_net::NodeId;
+    use gcs_protocol::wire::Frame;
+    use gcs_protocol::FloodMsg;
+    use gcs_sim::SimTime;
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let sock = std::env::temp_dir().join(format!("gcs-node-nan-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let mut a = daemon()
+        .args(["--uds", sock.to_str().unwrap()])
+        .args(["--first", "0", "--count", "1", "--total", "2"])
+        .args(["--refresh", "0.1"])
+        .spawn()
+        .unwrap();
+    let mut a_out = BufReader::new(a.stdout.take().unwrap());
+    let _ = announced_addr(&mut a_out);
+
+    // A peer hosting ID 1 says hello, then sends node 0 a flood whose send
+    // instant is NaN (patched into the encoded bytes: no sender can build
+    // such a frame).
+    let mut peer = UnixStream::connect(&sock).unwrap();
+    let mut buf = Vec::new();
+    Frame::Hello { first: 1, count: 1 }.encode(&mut buf);
+    let flood_at = buf.len();
+    Frame::Flood {
+        src: NodeId(1),
+        dst: NodeId(0),
+        sent_at: SimTime::from_secs(0.5),
+        msg: FloodMsg {
+            logical: 0.5,
+            max_est: 0.5,
+            min_lb: 0.0,
+            max_ub: 1.0,
+        },
+    }
+    .encode(&mut buf);
+    // Length prefix, kind byte, src and dst come before `sent_at`.
+    let sent_at = flood_at + 4 + 1 + 16;
+    buf[sent_at..sent_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    peer.write_all(&buf).unwrap();
+
+    // The daemon drops the connection: the peer reads its frames to EOF.
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut sink = [0u8; 4096];
+    loop {
+        match peer.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => panic!("the daemon kept the corrupt peer connected: {e}"),
+        }
+    }
+
+    drop(a.stdin.take());
+    let status = wait_with_deadline(&mut a, 5).expect("daemon ignored stdin EOF");
+    assert_eq!(status.code(), Some(0), "the daemon died: {status}");
+    let lines: Vec<String> = a_out.lines().map_while(Result::ok).collect();
+    assert!(
+        lines.iter().any(|l| l == "shutdown clean"),
+        "the daemon skipped the graceful path: {lines:?}"
+    );
+}
+
+#[test]
 fn a_daemon_whose_stdout_is_closed_still_exits_cleanly() {
     let sock = std::env::temp_dir().join(format!("gcs-node-stdout-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);

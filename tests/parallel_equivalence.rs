@@ -1,7 +1,7 @@
 //! Bit-identity of the parallel sharded engine.
 //!
 //! The sharded engine's contract is stronger than "statistically the
-//! same": at every shard count, under both partitioners, it must
+//! same": at every shard count it must
 //! reproduce the sequential reference **bit for bit** — every clock,
 //! every mode, every realized change-log entry, and every deterministic
 //! counter, *including* `mode_evaluations` (the tick sweeps run
@@ -12,7 +12,7 @@
 
 use gradient_clock_sync::analysis::oracle::ConformanceChecker;
 use gradient_clock_sync::core::{
-    ClockSnapshot, Engine, ParallelBuildError, ParallelSimBuilder, Partition, SimStats,
+    ClockSnapshot, Engine, ParallelBuildError, ParallelSimBuilder, SimStats,
 };
 use gradient_clock_sync::scenarios::campaign::drive_sampled;
 use gradient_clock_sync::scenarios::{registry, Scale, ScenarioSpec};
@@ -71,10 +71,9 @@ fn sequential(spec: &ScenarioSpec, seed: u64) -> Run {
     drive(spec, spec.build(seed).expect("spec builds"))
 }
 
-fn sharded(spec: &ScenarioSpec, seed: u64, shards: usize, partition: Partition) -> Run {
+fn sharded(spec: &ScenarioSpec, seed: u64, shards: usize) -> Run {
     let sim = ParallelSimBuilder::new(spec.builder(seed).expect("spec builds"))
         .shards(shards)
-        .partition(partition)
         .build()
         .expect("parallel build");
     drive(spec, sim)
@@ -122,14 +121,12 @@ fn sharded_engine_is_bit_identical_across_the_grid() {
         for seed in 0..2u64 {
             let reference = sequential(&spec, seed);
             for shards in [1usize, 2, 3, 7] {
-                for partition in [Partition::Contiguous, Partition::DegreeBalanced] {
-                    let candidate = sharded(&spec, seed, shards, partition);
-                    assert_identical(
-                        &format!("{} seed {seed}, {shards} shards, {partition:?}", spec.name),
-                        &reference,
-                        &candidate,
-                    );
-                }
+                let candidate = sharded(&spec, seed, shards);
+                assert_identical(
+                    &format!("{} seed {seed}, {shards} shards", spec.name),
+                    &reference,
+                    &candidate,
+                );
             }
         }
     }
@@ -183,51 +180,6 @@ fn conformance_reports_match_the_sequential_engine() {
             }
         }
     }
-}
-
-#[test]
-fn oversized_lookahead_window_is_rejected_at_construction() {
-    // A window wider than the scenario's minimum transit latency is not a
-    // conservative lookahead: a cross-shard message could land inside an
-    // already-drained window. The builder must refuse it outright rather
-    // than silently produce a nondeterministic engine.
-    let spec = registry::find("ring-steady")
-        .expect("built-in")
-        .scaled(Scale::Tiny);
-    let probe = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
-        .shards(2)
-        .build()
-        .expect("model-derived window builds");
-    let max = probe.window();
-    assert!(
-        max.is_finite() && max > 0.0,
-        "scenario has a real lookahead"
-    );
-
-    let err = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
-        .shards(2)
-        .lookahead_override(max * 2.0)
-        .build()
-        .map(|_| ())
-        .expect_err("over-wide window must be rejected");
-    match err {
-        ParallelBuildError::WindowTooWide { requested, max: m } => {
-            assert_eq!(requested, max * 2.0);
-            assert_eq!(m, max);
-        }
-        other => panic!("expected WindowTooWide, got {other:?}"),
-    }
-
-    // Narrowing is allowed (merely slower), and still bit-identical.
-    let narrowed = ParallelSimBuilder::new(spec.builder(0).expect("builds"))
-        .shards(2)
-        .lookahead_override(max / 2.0)
-        .build()
-        .expect("narrower window is conservative");
-    assert_eq!(narrowed.window(), max / 2.0);
-    let candidate = drive(&spec, narrowed);
-    let reference = sequential(&spec, 0);
-    assert_identical("ring-steady narrowed window", &reference, &candidate);
 }
 
 #[test]
